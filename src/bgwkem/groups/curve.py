@@ -13,14 +13,23 @@ subgroup and makes the map symmetric and non-degenerate on G x G:
 
     pair(P, Q) = f_{p,P}(phi(Q)) ^ ((q^2 - 1) / p)
 
-with f computed by Miller's double-and-add loop. Because phi(Q) has an
-x-coordinate in F_q and a purely imaginary y-coordinate, none of the line
-functions through rational points can vanish at phi(Q) (that would force
--x_Q onto the curve over F_q, impossible for points of odd order), so the
-plain point-evaluated Miller loop is exact here: no divisor tricks needed.
+with f computed by Miller's double-and-add loop. No step of the loop
+inverts. R runs in Jacobian coordinates (X, Y, Z), standing for
+(X/Z^2, Y/Z^3), and each line through R is evaluated at phi(Q) after
+scaling by a factor in F_q* that clears its denominator. The final exponent
+is a multiple of q - 1, so those factors map to 1, and so do the vertical
+lines (their values at phi(Q) lie in F_q*), which are therefore dropped
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002). None of the remaining lines vanishes
+at phi(Q): its imaginary part is a nonzero multiple of y_Q.
 
-Points are affine (x, y) tuples with None for infinity; F_{q^2} values are
-(real, imag) tuples. Both stay opaque inside GElement/GTElement wrappers.
+The final exponentiation uses the Frobenius: f^q = conj(f) in F_{q^2}, so
+f^(q-1) = conj(f) / f, which is then raised to the small cofactor (q+1)/p.
+Scalar multiplication is Jacobian double-and-add with one inversion at the
+end. Every GT element has norm 1, so its inverse is its conjugate.
+
+Points are affine (x, y) tuples with None for infinity; Jacobian triples
+live only inside scalar multiplication and the Miller loop. F_{q^2} values
+are (real, imag) tuples. Both stay opaque inside GElement/GTElement wrappers.
 """
 
 from dataclasses import dataclass
@@ -79,7 +88,6 @@ class CurveGroup(BilinearGroup):
         self.q = params.q
         self.order = params.p
         self._qwidth = (self.q.bit_length() + 7) // 8
-        self._final_exp = (self.q * self.q - 1) // self.order
         self._gen = self._find_generator()
 
     def describe(self) -> str:
@@ -88,7 +96,7 @@ class CurveGroup(BilinearGroup):
     # -- F_q and F_{q^2} helpers ---------------------------------------
 
     def _finv(self, a: int) -> int:
-        return pow(a, self.q - 2, self.q)
+        return pow(a, -1, self.q)
 
     def _f2mul(self, A, B):
         a, b = A
@@ -96,11 +104,8 @@ class CurveGroup(BilinearGroup):
         q = self.q
         return ((a * c - b * d) % q, (a * d + b * c) % q)
 
-    def _f2inv(self, A):
-        a, b = A
-        q = self.q
-        ninv = self._finv((a * a + b * b) % q)
-        return (a * ninv % q, -b * ninv % q)
+    def _f2conj(self, A):
+        return (A[0], -A[1] % self.q)
 
     def _f2pow(self, A, e: int):
         result = (1, 0)
@@ -112,7 +117,7 @@ class CurveGroup(BilinearGroup):
             e >>= 1
         return result
 
-    # -- affine point arithmetic over F_q ------------------------------
+    # -- point arithmetic over F_q ---------------------------------------
 
     def _on_curve(self, x: int, y: int) -> bool:
         return (y * y - (x * x * x + x)) % self.q == 0
@@ -123,6 +128,7 @@ class CurveGroup(BilinearGroup):
         return (P[0], -P[1] % self.q)
 
     def _pt_add(self, P, Q):
+        """Affine P + Q, for mul on G where the result must be affine."""
         if P is None:
             return Q
         if Q is None:
@@ -139,15 +145,52 @@ class CurveGroup(BilinearGroup):
         x3 = (m * m - x1 - x2) % q
         return (x3, (m * (x1 - x3) - y1) % q)
 
+    # Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); any
+    # triple with Z = 0 is infinity.
+
+    def _jac_double(self, X, Y, Z):
+        # a point with Y = 0 has order 2, and Z' = 2YZ = 0 makes it infinity
+        q = self.q
+        YY = Y * Y % q
+        ZZ = Z * Z % q
+        M = (3 * X * X + ZZ * ZZ) % q
+        S = 4 * X * YY % q
+        X3 = (M * M - 2 * S) % q
+        return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q
+
+    def _jac_add_affine(self, X, Y, Z, xp, yp):
+        """Jacobian R plus affine P = (xp, yp)."""
+        if Z == 0:
+            return xp, yp, 1
+        q = self.q
+        ZZ = Z * Z % q
+        H = (xp * ZZ - X) % q
+        r = (yp * ZZ * Z - Y) % q
+        if H == 0:
+            # same x: R = P when the y's agree too, otherwise R = -P
+            return self._jac_double(X, Y, Z) if r == 0 else (1, 1, 0)
+        HH = H * H % q
+        HHH = H * HH % q
+        V = X * HH % q
+        X3 = (r * r - HHH - 2 * V) % q
+        return X3, (r * (V - X3) - Y * HHH) % q, Z * H % q
+
     def _pt_mul(self, k: int, P):
-        result = None
-        acc = P
-        while k > 0:
-            if k & 1:
-                result = self._pt_add(result, acc)
-            acc = self._pt_add(acc, acc)
-            k >>= 1
-        return result
+        """[k]P for k >= 0 by left-to-right double-and-add, inverting once."""
+        if k == 0 or P is None:
+            return None
+        xp, yp = P
+        X, Y, Z = xp, yp, 1
+        for bit in bin(k)[3:]:
+            X, Y, Z = self._jac_double(X, Y, Z)
+            if bit == "1":
+                X, Y, Z = self._jac_add_affine(X, Y, Z, xp, yp)
+        if Z == 0:
+            return None
+        q = self.q
+        zinv = self._finv(Z)
+        zz = zinv * zinv % q
+        return (X * zz % q, Y * zz * zinv % q)
 
     def _find_generator(self):
         """First cofactor-cleared point of exact order p, scanning x upward."""
@@ -166,46 +209,65 @@ class CurveGroup(BilinearGroup):
             f"no order-{self.order} generator found on y^2 = x^3 + x over F_{q}"
         )
 
-    # -- Miller loop ----------------------------------------------------
-
-    def _line_at_distorted(self, A, B, xt: int, yt: int):
-        """Line through rational points A, B evaluated at phi(Q) = (xt, yt*i).
-
-        xt = -x_Q mod q is the real x-coordinate of the distorted point.
-        Vertical lines give a purely real value; all others pick up yt as
-        the imaginary part since the line coefficients live in F_q.
-        """
-        q = self.q
-        x1, y1 = A
-        x2, y2 = B
-        if x1 == x2 and (y1 + y2) % q == 0:
-            return ((xt - x1) % q, 0)
-        if A == B:
-            m = (3 * x1 * x1 + 1) * self._finv(2 * y1) % q
-        else:
-            m = (y2 - y1) * self._finv(x2 - x1) % q
-        return ((-y1 - m * (xt - x1)) % q, yt % q)
-
-    def _vertical_at(self, U, xt: int):
-        if U is None:
-            return (1, 0)
-        return ((xt - U[0]) % self.q, 0)
+    # -- pairing ----------------------------------------------------------
 
     def _miller(self, P, Q):
-        """f_{p,P} evaluated at phi(Q), both P and Q rational order-p points."""
-        xt = -Q[0] % self.q
+        """f_{p,P}(phi(Q)) times some factor in F_q*, for P, Q of order p.
+
+        Lines are scaled by F_q* factors and verticals dropped, both of
+        which the final exponentiation sends to 1 (see the module notes).
+        """
+        q = self.q
+        xp, yp = P
+        xt = -Q[0] % q
         yt = Q[1]
-        f = (1, 0)
-        R = P
+        a, b = 1, 0  # f = a + b*i
+        X, Y, Z = xp, yp, 1
         for bit in bin(self.order)[3:]:
-            f = self._f2mul(self._f2mul(f, f), self._line_at_distorted(R, R, xt, yt))
-            R = self._pt_add(R, R)
-            f = self._f2mul(f, self._f2inv(self._vertical_at(R, xt)))
+            # tangent at R, times 2*Y*Z^3:
+            # (M*(X - xt*Z^2) - 2*Y^2) + (2*Y*Z * Z^2 * yt)*i, M = 3X^2 + Z^4
+            YY = Y * Y % q
+            ZZ = Z * Z % q
+            M = (3 * X * X + ZZ * ZZ) % q
+            Z3 = 2 * Y * Z % q
+            l0 = (M * (X - xt * ZZ) - 2 * YY) % q
+            l1 = Z3 * ZZ % q * yt % q
+            a, b = (a + b) * (a - b) % q, 2 * a * b % q
+            a, b = (a * l0 - b * l1) % q, (a * l1 + b * l0) % q
+            S = 4 * X * YY % q
+            X = (M * M - 2 * S) % q
+            Y = (M * (S - X) - 8 * YY * YY) % q
+            Z = Z3
             if bit == "1":
-                f = self._f2mul(f, self._line_at_distorted(R, P, xt, yt))
-                R = self._pt_add(R, P)
-                f = self._f2mul(f, self._f2inv(self._vertical_at(R, xt)))
-        return f
+                # chord through R and P, times Z*H:
+                # (-yp*Z' - r*(xt - xp)) + (Z' * yt)*i, Z' = Z*H
+                ZZ = Z * Z % q
+                H = (xp * ZZ - X) % q
+                if H == 0:
+                    # R = -P, which happens only at the last bit: the line is
+                    # vertical and R + P = O, so the loop is done
+                    break
+                r = (yp * ZZ * Z - Y) % q
+                Z3 = Z * H % q
+                l0 = (-yp * Z3 - r * (xt - xp)) % q
+                l1 = Z3 * yt % q
+                a, b = (a * l0 - b * l1) % q, (a * l1 + b * l0) % q
+                HH = H * H % q
+                HHH = H * HH % q
+                V = X * HH % q
+                X = (r * r - HHH - 2 * V) % q
+                Y = (r * (V - X) - Y * HHH) % q
+                Z = Z3
+        return a, b
+
+    def _final_power(self, f):
+        """f^((q^2 - 1)/p) as (conj(f)/f)^((q+1)/p), since f^q = conj(f)."""
+        a, b = f
+        q = self.q
+        # conj(f)/f = conj(f)^2 / N(f), N(f) = a^2 + b^2 = f * conj(f)
+        ninv = self._finv((a * a + b * b) % q)
+        u = ((a * a - b * b) * ninv % q, -2 * a * b * ninv % q)
+        return self._f2pow(u, self.params.cofactor)
 
     # -- construction-side values ------------------------------------
 
@@ -232,7 +294,8 @@ class CurveGroup(BilinearGroup):
     def inverse(self, a):
         if isinstance(a, GTElement):
             self._claim(a, GTElement)
-            return GTElement(self, self._f2inv(a.value))
+            # every GT element has norm 1, so its inverse is its conjugate
+            return GTElement(self, self._f2conj(a.value))
         self._claim(a, GElement)
         return GElement(self, self._pt_neg(a.value))
 
@@ -250,7 +313,7 @@ class CurveGroup(BilinearGroup):
         if p.value is None or q.value is None:
             return self.identity_gt()
         f = self._miller(p.value, q.value)
-        return GTElement(self, self._f2pow(f, self._final_exp))
+        return GTElement(self, self._final_power(f))
 
     # -- serialization ---------------------------------------------------
 

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from bgwkem import make_mock_group
+
+# The curve differential tests call oracles that take tens of milliseconds
+# per example at 160 bits, so a wall-clock deadline would make them flaky on
+# a loaded machine. The example count is pinned so every run does the same work.
+settings.register_profile("bgwkem", deadline=None, max_examples=100)
+settings.load_profile("bgwkem")
 
 
 class ScriptedRng:

@@ -64,6 +64,91 @@ def fq2_pow(a, e, q):
     return result
 
 
+def fq2_inv(a, q):
+    """Inverse in F_q[i] through the norm, with a Fermat inversion in F_q."""
+    ninv = pow((a[0] * a[0] + a[1] * a[1]) % q, q - 2, q)
+    return (a[0] * ninv % q, -a[1] * ninv % q)
+
+
+def ec_add(P, Q, q):
+    """Affine P + Q on y^2 = x^3 + x over F_q; None is infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % q == 0:
+            return None
+        m = (3 * x1 * x1 + 1) * pow(2 * y1, q - 2, q) % q
+    else:
+        m = (y2 - y1) * pow(x2 - x1, q - 2, q) % q
+    x3 = (m * m - x1 - x2) % q
+    return (x3, (m * (x1 - x3) - y1) % q)
+
+
+def ec_mul(k, P, q):
+    """[k]P for any integer k, by right-to-left affine double-and-add."""
+    if k < 0:
+        k, P = -k, (None if P is None else (P[0], -P[1] % q))
+    result = None
+    while k > 0:
+        if k & 1:
+            result = ec_add(result, P, q)
+        P = ec_add(P, P, q)
+        k >>= 1
+    return result
+
+
+def curve_generator(q, p):
+    """First point [(q+1)/p](x, y) of exact order p, scanning x = 1, 2, ...
+    and taking y = rhs^((q+1)/4), the square root for q = 3 mod 4."""
+    for x in range(1, q):
+        rhs = (x * x * x + x) % q
+        y = pow(rhs, (q + 1) // 4, q)
+        if y * y % q != rhs:
+            continue
+        candidate = ec_mul((q + 1) // p, (x, y), q)
+        if candidate is not None and ec_mul(p, candidate, q) is None:
+            return candidate
+    raise AssertionError(f"no order-{p} point on y^2 = x^3 + x over F_{q}")
+
+
+def tate_pairing(P, Q, q, p):
+    """Reduced Tate pairing of P and phi(Q), phi(x, y) = (-x, i*y).
+
+    Miller's loop with affine points, every line and vertical evaluated
+    exactly at phi(Q), then the full final exponentiation (q^2 - 1)/p.
+    """
+    if P is None or Q is None:
+        return (1, 0)
+    xt, yt = -Q[0] % q, Q[1]
+
+    def line(A, B):
+        (x1, y1), (x2, y2) = A, B
+        if x1 == x2 and (y1 + y2) % q == 0:
+            return ((xt - x1) % q, 0)
+        if A == B:
+            m = (3 * x1 * x1 + 1) * pow(2 * y1, q - 2, q) % q
+        else:
+            m = (y2 - y1) * pow(x2 - x1, q - 2, q) % q
+        return ((-y1 - m * (xt - x1)) % q, yt % q)
+
+    def vertical(U):
+        return (1, 0) if U is None else ((xt - U[0]) % q, 0)
+
+    f, R = (1, 0), P
+    for bit in bin(p)[3:]:
+        f = fq2_mul(fq2_mul(f, f, q), line(R, R), q)
+        R = ec_add(R, R, q)
+        f = fq2_mul(f, fq2_inv(vertical(R), q), q)
+        if bit == "1":
+            f = fq2_mul(f, line(R, P), q)
+            R = ec_add(R, P, q)
+            f = fq2_mul(f, fq2_inv(vertical(R), q), q)
+    return fq2_pow(f, (q * q - 1) // p, q)
+
+
 def naive_embedding_degree(q, p):
     """Least k with p | q^k - 1, each candidate checked by direct division."""
     for k in range(1, p):

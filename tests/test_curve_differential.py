@@ -1,0 +1,114 @@
+"""The curve backend against the affine, vertical-line oracles.
+
+The backend computes points in Jacobian coordinates, drops line
+denominators and verticals, and uses the Frobenius in the final
+exponentiation. oracles.py keeps the direct algorithms: affine points with
+Fermat inversions and a Miller loop that divides by every vertical before
+the full (q^2 - 1)/p power. Both must agree bit for bit.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from bgwkem import CurveParams, DecodeError, make_curve_group
+
+LADDER_Q = {
+    "q16": 32971,
+    "q64": 9223372036854782251,
+    "q160": 730750818665451459101842416358141509827966272147,
+}
+CURVES = [(59, 5)] + [(q, (q + 1) // 4) for q in LADDER_Q.values()]
+CURVE_IDS = ["q59"] + list(LADDER_Q)
+# A second tiny curve: #E = 140 = 4 * 5 * 7, so with p = 7 the cofactor 20 is
+# not a power of two and E has points of orders 5, 10, 14, 20, 28, 35, 70.
+TINY_CURVES = [(59, 5), (139, 7)]
+
+
+@pytest.fixture(scope="module", params=CURVES, ids=CURVE_IDS)
+def curve(request):
+    q, p = request.param
+    return make_curve_group(CurveParams(q=q, p=p))
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_pair_matches_oracle(curve, data):
+    q, p = curve.q, curve.order
+    a = data.draw(st.integers(0, p - 1), label="a")
+    b = data.draw(st.integers(0, p - 1), label="b")
+    g = curve.generator()
+    P, Q = g ** a, g ** b
+    assert P.value == oracles.ec_mul(a, g.value, q)
+    assert Q.value == oracles.ec_mul(b, g.value, q)
+    assert curve.pair(P, Q).value == oracles.tate_pairing(P.value, Q.value, q, p)
+
+
+def test_exp_matches_oracle_at_edge_scalars(curve):
+    q, p = curve.q, curve.order
+    for k in (0, 1, p - 1, p, -1, 2 * p + 3):
+        for P in (curve.generator(), curve.generator() ** (p // 3)):
+            assert curve.exp(P, k).value == oracles.ec_mul(k, P.value, q), k
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_exp_matches_oracle(curve, data):
+    q, p = curve.q, curve.order
+    a = data.draw(st.integers(1, p - 1), label="a")
+    k = data.draw(st.integers(-3 * p, 3 * p), label="k")
+    P = curve.generator() ** a
+    assert curve.exp(P, k).value == oracles.ec_mul(k, P.value, q)
+
+
+@pytest.mark.parametrize("q, p", TINY_CURVES)
+def test_scalar_multiplication_exhaustive_on_whole_curve(q, p):
+    # Points outside G reach R = P and R = -P inside the mixed addition,
+    # which must double and give infinity respectively.
+    group = make_curve_group(CurveParams(q=q, p=p))
+    points = [None] + oracles.enumerate_curve(q)
+    assert len(points) == q + 1
+    for P in points:
+        for k in range(2 * (q + 1)):
+            assert group._pt_mul(k, P) == oracles.ec_mul(k, P, q), (P, k)
+
+
+def test_generators_unchanged():
+    assert make_curve_group(CurveParams(q=59, p=5)).generator().value == (35, 31)
+    for q, p in TINY_CURVES + CURVES[1:]:
+        group = make_curve_group(CurveParams(q=q, p=p))
+        assert group.generator().value == oracles.curve_generator(q, p)
+
+
+def test_gt_inverse_is_oracle_inverse_on_all_of_mu_p():
+    group = make_curve_group(CurveParams(q=59, p=5))
+    members = []
+    for a in range(59):
+        for b in range(59):
+            try:
+                members.append(group.decode_gt(bytes([a, b])))
+            except DecodeError:
+                pass
+    mu_p = [
+        (a, b) for a in range(59) for b in range(59)
+        if oracles.fq2_pow((a, b), 5, 59) == (1, 0)
+    ]
+    assert len(mu_p) == 5
+    assert [x.value for x in members] == mu_p
+    for x in members:
+        inv = group.inverse(x)
+        assert inv.value == oracles.fq2_inv(x.value, 59)
+        assert x * inv == group.identity_gt()
+
+
+def test_decode_gt_rejects_norm_one_values_outside_mu_p():
+    group = make_curve_group(CurveParams(q=59, p=5))
+    norm_one = [
+        (a, b) for a in range(59) for b in range(59) if (a * a + b * b) % 59 == 1
+    ]
+    assert len(norm_one) == 60  # the norm-1 subgroup has order q + 1
+    outside = [x for x in norm_one if oracles.fq2_pow(x, 5, 59) != (1, 0)]
+    assert len(outside) == 55
+    for a, b in outside:
+        with pytest.raises(DecodeError):
+            group.decode_gt(bytes([a, b]))
