@@ -31,6 +31,7 @@ from .groups import (
     GTElement,
     MockGroup,
     make_curve_group,
+    make_group,
     make_mock_group,
 )
 from .hybrid import (

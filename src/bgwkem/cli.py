@@ -29,7 +29,7 @@ from .fileformats import (
     write_public_key,
     write_share,
 )
-from .groups import CurveParams, make_curve_group, make_mock_group
+from .groups import make_group
 from .hybrid import BroadcastCiphertext, open_bytes, seal_bytes
 from .kem import RecipientSet, decaps, encaps, encode_header, setup
 
@@ -51,15 +51,8 @@ def _rng_from(args) -> random.Random:
 
 
 def _group_from(args):
-    if args.backend == "mock":
-        if args.p is None:
-            raise ParameterError("mock backend requires --p")
-        if args.q is not None:
-            raise ParameterError("--q applies only to the curve backend")
-        return make_mock_group(args.p)
-    if args.q is None or args.p is None:
-        raise ParameterError("curve backend requires both --q and --p")
-    return make_curve_group(CurveParams(q=args.q, p=args.p))
+    given = {"q": args.q, "p": args.p}
+    return make_group(args.backend, **{k: v for k, v in given.items() if v is not None})
 
 
 def _matching_share(pk_path, sk_path):

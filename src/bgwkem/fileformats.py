@@ -13,18 +13,49 @@ v=; share files carry exactly one d=<i>:<hex> line. Header files are
     C1=<hex>
     S=<comma-separated indices>
 
-Every reader is strict: unknown prefixes, missing or duplicated roles, and
-non-canonical element bytes are all rejected.
+Every reader is strict: non-ASCII bytes, unknown prefixes, missing or
+duplicated roles, numbers that are not canonical decimals (no sign, no
+underscore, no leading zero), hex that is not lowercase and unspaced, a user
+count beyond setup's bound, and non-canonical element bytes are all
+rejected. What a reader allocates grows with the size of the file it
+reads, never with a number read from it.
 """
 
 from pathlib import Path
 
-from .errors import DecodeError
-from .groups import BilinearGroup, CurveParams, make_curve_group, make_mock_group
-from .kem import Header, PrivateKeyShare, PublicKey, RecipientSet
+from .errors import DecodeError, ParameterError
+from .groups import BilinearGroup, make_group
+from .kem import Header, PrivateKeyShare, PublicKey, RecipientSet, check_user_count
 
 KEY_MAGIC = "BGW1"
 HEADER_MAGIC = "BGWHDR1"
+
+
+def _read_ascii_lines(path) -> list[str]:
+    try:
+        return Path(path).read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise DecodeError(f"{path} is not an ASCII text file") from None
+
+
+def _decimal(text: str, what: str) -> int:
+    """The value of a canonical ASCII decimal: digits only, no leading zero."""
+    if text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise DecodeError(f"{what} {text!r} is not a canonical decimal")
+
+
+def _decode_hex(value: str) -> bytes:
+    try:
+        data = bytes.fromhex(value)
+    except ValueError:
+        raise DecodeError(f"bad hex value {value!r}") from None
+    if data.hex() != value:
+        raise DecodeError(f"non-canonical hex value {value!r}")
+    return data
 
 
 def _format_params_line(group: BilinearGroup, n: int) -> str:
@@ -35,48 +66,28 @@ def _parse_params_line(line: str) -> tuple[BilinearGroup, int]:
     tokens = line.split()
     if len(tokens) < 3 or tokens[0] != KEY_MAGIC:
         raise DecodeError(f"bad key file magic line {line!r}")
-    backend = tokens[1]
     fields = {}
     for token in tokens[2:]:
         key, sep, value = token.partition("=")
         if not sep or key in fields:
             raise DecodeError(f"bad parameter token {token!r}")
-        try:
-            fields[key] = int(value)
-        except ValueError:
-            raise DecodeError(f"bad parameter token {token!r}") from None
-    if "n" not in fields:
+        fields[key] = _decimal(value, f"parameter {key}")
+    n = fields.pop("n", None)
+    if n is None:
         raise DecodeError("key file is missing the user count")
-    n = fields.pop("n")
-    if n < 1:
-        raise DecodeError(f"user count must be positive, got {n}")
-    if backend == "mock":
-        if set(fields) != {"p"}:
-            raise DecodeError(f"mock backend expects p=<prime>, got {sorted(fields)}")
-        group = make_mock_group(fields["p"])
-    elif backend == "curve":
-        if set(fields) != {"q", "p"}:
-            raise DecodeError(
-                f"curve backend expects q=<prime> p=<prime>, got {sorted(fields)}"
-            )
-        group = make_curve_group(CurveParams(q=fields["q"], p=fields["p"]))
-    else:
-        raise DecodeError(f"unknown backend {backend!r}")
+    try:
+        group = make_group(tokens[1], **fields)
+        check_user_count(n, group.order)
+    except ParameterError as exc:
+        raise DecodeError(str(exc)) from None
     return group, n
 
 
-def _element_lines(text: str) -> list[str]:
-    lines = text.splitlines()
+def _key_file_lines(path) -> list[str]:
+    lines = _read_ascii_lines(path)
     if not lines:
         raise DecodeError("empty key file")
     return lines
-
-
-def _decode_hex(value: str) -> bytes:
-    try:
-        return bytes.fromhex(value)
-    except ValueError:
-        raise DecodeError(f"bad hex value {value!r}") from None
 
 
 def write_public_key(path, pk: PublicKey) -> None:
@@ -89,9 +100,9 @@ def write_public_key(path, pk: PublicKey) -> None:
 
 
 def read_public_key(path) -> PublicKey:
-    lines = _element_lines(Path(path).read_text())
+    lines = _key_file_lines(path)
     group, n = _parse_params_line(lines[0])
-    expected = {"g", "v"} | {f"g{i}" for i in range(1, 2 * n + 1) if i != n + 1}
+    # keys "g" and "v", and the index i of each g<i>
     seen = {}
     for line in lines[1:]:
         if not line.strip():
@@ -99,20 +110,27 @@ def read_public_key(path) -> PublicKey:
         role, sep, value = line.partition("=")
         if not sep:
             raise DecodeError(f"malformed key file line {line!r}")
-        if role == f"g{n + 1}":
-            raise DecodeError(f"public key must not contain the hole power g{n + 1}")
-        if role not in expected:
+        if role == "g" or role == "v":
+            key = role
+        elif role.startswith("g"):
+            key = _decimal(role[1:], "public key role index")
+            if key == n + 1:
+                raise DecodeError(f"public key must not contain the hole power g{n + 1}")
+            if not 1 <= key <= 2 * n:
+                raise DecodeError(f"role {role!r} outside g1..g{2 * n} in public key file")
+        else:
             raise DecodeError(f"unknown role prefix {role!r} in public key file")
-        if role in seen:
+        if key in seen:
             raise DecodeError(f"duplicate role {role!r} in public key file")
-        seen[role] = group.decode_g(_decode_hex(value))
-    missing = expected - set(seen)
-    if missing:
-        raise DecodeError(f"public key file is missing roles {sorted(missing)}")
-    powers = {
-        i: seen[f"g{i}"] for i in range(1, 2 * n + 1) if i != n + 1
-    }
-    return PublicKey(n=n, group=group, g=seen["g"], powers=powers, v=seen["v"])
+        seen[key] = group.decode_g(_decode_hex(value))
+    # every key is one of the 2n + 1 roles and none repeats, so a full
+    # count means none is missing
+    if len(seen) != 2 * n + 1:
+        raise DecodeError(
+            f"public key file is missing {2 * n + 1 - len(seen)} of its {2 * n + 1} roles"
+        )
+    g, v = seen.pop("g"), seen.pop("v")
+    return PublicKey(n=n, group=group, g=g, powers=seen, v=v)
 
 
 def write_share(path, group: BilinearGroup, n: int, share: PrivateKeyShare) -> None:
@@ -124,7 +142,7 @@ def write_share(path, group: BilinearGroup, n: int, share: PrivateKeyShare) -> N
 
 
 def read_share(path) -> tuple[BilinearGroup, int, PrivateKeyShare]:
-    lines = _element_lines(Path(path).read_text())
+    lines = _key_file_lines(path)
     group, n = _parse_params_line(lines[0])
     share = None
     for line in lines[1:]:
@@ -137,10 +155,7 @@ def read_share(path) -> tuple[BilinearGroup, int, PrivateKeyShare]:
         index_text, sep, value = line[2:].partition(":")
         if not sep:
             raise DecodeError(f"malformed share line {line!r}")
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise DecodeError(f"bad share index {index_text!r}") from None
+        index = _decimal(index_text, "share index")
         if not 1 <= index <= n:
             raise DecodeError(f"share index {index} outside 1..{n}")
         share = PrivateKeyShare(index=index, d=group.decode_g(_decode_hex(value)))
@@ -161,7 +176,7 @@ def write_header_file(path, group: BilinearGroup, header: Header,
 
 
 def read_header_file(path, group: BilinearGroup) -> tuple[Header, RecipientSet]:
-    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    lines = [line for line in _read_ascii_lines(path) if line.strip()]
     if len(lines) != 4 or lines[0] != HEADER_MAGIC:
         raise DecodeError("malformed header file")
     values = {}
@@ -174,4 +189,5 @@ def read_header_file(path, group: BilinearGroup) -> tuple[Header, RecipientSet]:
         c0=group.decode_g(_decode_hex(values["C0"])),
         c1=group.decode_g(_decode_hex(values["C1"])),
     )
-    return header, RecipientSet.parse(values["S"])
+    indices = [_decimal(text, "recipient index") for text in values["S"].split(",")]
+    return header, RecipientSet(indices)

@@ -5,7 +5,9 @@ same prime order p, and a non-degenerate symmetric map pair: G x G -> GT
 with pair(g^a, g^b) = pair(g, g)^(a*b). Elements are opaque wrappers whose
 ``value`` field only the owning backend interprets; all arithmetic goes
 through the group object, which refuses to mix elements from different
-backends or parameter sets.
+backends or parameter sets. A group is identified by its parameters alone:
+two separately built groups with equal parameters are equal, and their
+elements mix freely.
 
 Elements support ``*``, ``/`` and ``**`` so protocol formulas read like the
 algebra they implement. Groups and elements are immutable after
@@ -40,7 +42,7 @@ class _Element:
         return self.group == other.group and self.value == other.value
 
     def __hash__(self):
-        return hash((type(self).__name__, self.group.describe(), self.value))
+        return hash((type(self).__name__, self.group.params, self.value))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.value!r})"
@@ -55,9 +57,16 @@ class GTElement(_Element):
 
 
 class BilinearGroup(ABC):
-    """Symmetric pairing context of prime order ``self.order``."""
+    """Symmetric pairing context of prime order ``self.order``.
+
+    ``self.params`` is the group's identity, set once by the backend's
+    constructor: the backend name followed by (name, value) pairs, e.g.
+    ``("curve", ("q", 59), ("p", 5))``. Equality, hashing and
+    ``describe()`` all derive from it, and ``groups.make_group`` inverts it.
+    """
 
     order: int
+    params: tuple
 
     # -- construction-side values ------------------------------------
 
@@ -118,10 +127,6 @@ class BilinearGroup(ABC):
     def gt_encoded_size(self) -> int:
         """Byte length of every encoded GT element."""
 
-    @abstractmethod
-    def describe(self) -> str:
-        """Stable parameter string, e.g. 'mock p=101' or 'curve q=59 p=5'."""
-
     # -- shared plumbing ---------------------------------------------
 
     def _claim(self, x, kind):
@@ -130,17 +135,22 @@ class BilinearGroup(ABC):
             raise UsageError(
                 f"expected {kind.__name__}, got {type(x).__name__}"
             )
-        if x.group != self:
+        if x.group is not self and x.group.params != self.params:
             raise UsageError("element belongs to a different group")
         return x
+
+    def describe(self) -> str:
+        """Stable parameter string, e.g. 'mock p=101' or 'curve q=59 p=5'."""
+        backend, *fields = self.params
+        return " ".join([backend] + [f"{name}={value}" for name, value in fields])
 
     def __eq__(self, other):
         if not isinstance(other, BilinearGroup):
             return NotImplemented
-        return self.describe() == other.describe()
+        return self.params == other.params
 
     def __hash__(self):
-        return hash(self.describe())
+        return hash(self.params)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.describe()}>"

@@ -84,14 +84,12 @@ class CurveGroup(BilinearGroup):
     """Order-p subgroup of E(F_q) paired into mu_p in F_{q^2}."""
 
     def __init__(self, params: CurveParams):
-        self.params = params
         self.q = params.q
         self.order = params.p
+        self.params = ("curve", ("q", params.q), ("p", params.p))
+        self._cofactor = params.cofactor
         self._qwidth = (self.q.bit_length() + 7) // 8
         self._gen = self._find_generator()
-
-    def describe(self) -> str:
-        return f"curve q={self.q} p={self.order}"
 
     # -- F_q and F_{q^2} helpers ---------------------------------------
 
@@ -195,7 +193,7 @@ class CurveGroup(BilinearGroup):
     def _find_generator(self):
         """First cofactor-cleared point of exact order p, scanning x upward."""
         q = self.q
-        h = self.params.cofactor
+        h = self._cofactor
         for x in range(1, min(q, _GENERATOR_SEARCH_BOUND)):
             # rhs != 0 here: x > 0 and x^2 = -1 has no root when q = 3 mod 4
             rhs = (x * x * x + x) % q
@@ -267,7 +265,7 @@ class CurveGroup(BilinearGroup):
         # conj(f)/f = conj(f)^2 / N(f), N(f) = a^2 + b^2 = f * conj(f)
         ninv = self._finv((a * a + b * b) % q)
         u = ((a * a - b * b) * ninv % q, -2 * a * b * ninv % q)
-        return self._f2pow(u, self.params.cofactor)
+        return self._f2pow(u, self._cofactor)
 
     # -- construction-side values ------------------------------------
 

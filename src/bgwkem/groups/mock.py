@@ -22,10 +22,8 @@ class MockGroup(BilinearGroup):
         if not isinstance(p, int) or p < 5 or not is_prime(p):
             raise ParameterError(f"group order must be a prime >= 5, got {p!r}")
         self.order = p
+        self.params = ("mock", ("p", p))
         self._width = (p.bit_length() + 7) // 8
-
-    def describe(self) -> str:
-        return f"mock p={self.order}"
 
     # -- construction-side values ------------------------------------
 

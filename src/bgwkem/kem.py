@@ -18,7 +18,7 @@ All randomness comes from an explicit rng with the random.Random
 interface, making every output reproducible from a seed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import DecodeError, MembershipError, ParameterError, SetError, UsageError
@@ -90,7 +90,9 @@ class PublicKey:
     n: int
     group: BilinearGroup
     g: GElement
-    powers: dict  # index -> GElement for 1..n and n+2..2n; n+1 never present
+    # index -> GElement for 1..n and n+2..2n; n+1 never present. Compared
+    # by == but left out of the hash, since a dict has none.
+    powers: dict = field(hash=False)
     v: GElement
 
     def power(self, i: int) -> GElement:
@@ -135,23 +137,29 @@ def _order_exceeds(a: int, p: int, bound: int) -> bool:
     return True
 
 
+def check_user_count(n: int, p: int) -> None:
+    """Raise ParameterError unless setup can serve n users in a group of order p.
+
+    setup needs an alpha whose multiplicative order mod p exceeds 2n, and
+    every element of Z_p^* has order at most p - 1, hence 2n < p - 1.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ParameterError(f"user count must be a positive integer, got {n!r}")
+    if 2 * n >= p - 1:
+        raise ParameterError(
+            f"no element of Z_{p}^* has order above 2n={2 * n}; reduce n"
+        )
+
+
 def setup(n: int, group: BilinearGroup, rng) -> tuple[PublicKey, list[PrivateKeyShare]]:
     """Generate the public key and all n private shares.
 
     alpha is redrawn until its multiplicative order exceeds 2n, so the hole
     power alpha^(n+1) cannot collide with any published power at desk-sized
-    moduli. That requires an element of order > 2n to exist at all, hence
-    the stricter 2n < p - 1 feasibility bound below.
+    moduli; check_user_count guarantees that such an alpha exists.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"user count must be a positive integer, got {n!r}")
     p = group.order
-    if 2 * n >= p:
-        raise ParameterError(f"need 2n < p, got 2n={2 * n}, p={p}")
-    if 2 * n >= p - 1:
-        raise ParameterError(
-            f"no element of Z_{p}^* has order above 2n={2 * n}; reduce n"
-        )
+    check_user_count(n, p)
 
     alpha = rng.randrange(1, p)
     while not _order_exceeds(alpha, p, 2 * n):

@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bgwkem import DecodeError, ParameterError, UsageError, make_mock_group
+from bgwkem import (
+    CurveParams,
+    DecodeError,
+    ParameterError,
+    UsageError,
+    make_curve_group,
+    make_group,
+    make_mock_group,
+)
 from bgwkem.groups import GElement, GTElement
 
 
@@ -107,12 +115,67 @@ def test_decode_rejects_malformed(mock101):
         mock101.decode_gt(b"\x6d\x05")  # G tag fed to GT decoder
 
 
-def test_cross_group_mixing_is_rejected(mock101):
-    other = make_mock_group(103)
+# (build a group, build one with other parameters) per backend
+_GROUP_PAIRS = {
+    "mock": (lambda: make_mock_group(101), lambda: make_mock_group(103)),
+    "curve": (lambda: make_curve_group(CurveParams(q=59, p=5)),
+              lambda: make_curve_group(CurveParams(q=139, p=7))),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_GROUP_PAIRS))
+def test_cross_group_mixing_is_rejected(backend):
+    build, build_other = _GROUP_PAIRS[backend]
+    group, other = build(), build_other()
     with pytest.raises(UsageError):
-        mock101.mul(mock101.generator(), other.generator())
+        group.mul(group.generator(), other.generator())
     with pytest.raises(UsageError):
-        mock101.pair(mock101.generator(), other.generator())
+        group.pair(group.generator(), other.generator())
+    assert group != other
+    assert group.generator() != other.generator()
+
+
+@pytest.mark.parametrize("backend", sorted(_GROUP_PAIRS))
+def test_groups_with_equal_parameters_are_one_group(backend):
+    # key files are read into separately built groups, which must mix
+    build, _ = _GROUP_PAIRS[backend]
+    group, twin = build(), build()
+    assert group is not twin
+    assert group == twin and hash(group) == hash(twin)
+    g, h = group.generator(), twin.generator()
+    assert g == h and hash(g) == hash(h)
+    e, f = group.pair(g, g), twin.pair(h, h)
+    assert e == f and hash(e) == hash(f)
+    assert group.mul(g, h) == twin.mul(h, g) == g ** 2
+    assert group.pair(g, h) == twin.pair(h, g) == e
+
+
+@pytest.mark.parametrize("backend", sorted(_GROUP_PAIRS))
+def test_make_group_inverts_describe(backend):
+    group = _GROUP_PAIRS[backend][0]()
+    name, *fields = group.describe().split()
+    rebuilt = make_group(name, **{k: int(v) for k, v in (f.split("=") for f in fields)})
+    assert rebuilt == group
+    assert rebuilt.describe() == group.describe()
+
+
+def test_describe_strings_are_pinned():
+    assert make_mock_group(101).describe() == "mock p=101"
+    assert make_curve_group(CurveParams(q=59, p=5)).describe() == "curve q=59 p=5"
+
+
+@pytest.mark.parametrize("backend, params", [
+    ("weird", {"p": 101}),
+    ("mock", {}),
+    ("mock", {"p": 101, "q": 59}),
+    ("mock", {"backend": 101}),
+    ("curve", {"p": 5}),
+    ("curve", {"q": 59, "p": 7}),  # 7 does not divide q + 1
+    ("mock", {"p": 100}),
+])
+def test_make_group_rejects_bad_parameters(backend, params):
+    with pytest.raises(ParameterError):
+        make_group(backend, **params)
 
 
 def test_g_and_gt_do_not_mix(mock101):
