@@ -13,12 +13,13 @@ v=; share files carry exactly one d=<i>:<hex> line. Header files are
     C1=<hex>
     S=<comma-separated indices>
 
-Every reader is strict: non-ASCII bytes, unknown prefixes, missing or
-duplicated roles, numbers that are not canonical decimals (no sign, no
-underscore, no leading zero), hex that is not lowercase and unspaced, a user
-count beyond setup's bound, and non-canonical element bytes are all
-rejected. What a reader allocates grows with the size of the file it
-reads, never with a number read from it.
+Every reader is strict: non-ASCII bytes, a parameter line spelled other
+than the writer spells it, unknown prefixes, missing or duplicated roles,
+numbers that are not canonical decimals (no sign, no underscore, no
+leading zero), hex that is not lowercase and unspaced, a user count beyond
+setup's bound, and non-canonical element bytes are all rejected. What a
+reader allocates grows with the size of the file it reads, never with a
+number read from it.
 """
 
 from pathlib import Path
@@ -69,7 +70,7 @@ def _parse_params_line(line: str) -> tuple[BilinearGroup, int]:
     fields = {}
     for token in tokens[2:]:
         key, sep, value = token.partition("=")
-        if not sep or key in fields:
+        if not sep:
             raise DecodeError(f"bad parameter token {token!r}")
         fields[key] = _decimal(value, f"parameter {key}")
     n = fields.pop("n", None)
@@ -80,6 +81,10 @@ def _parse_params_line(line: str) -> tuple[BilinearGroup, int]:
         check_user_count(n, group.order)
     except ParameterError as exc:
         raise DecodeError(str(exc)) from None
+    # one spelling per (group, n): this also rejects repeated, reordered
+    # and differently spaced tokens
+    if line != _format_params_line(group, n):
+        raise DecodeError(f"key file parameter line {line!r} is not canonical")
     return group, n
 
 

@@ -3,11 +3,13 @@
 Two layers. The GT layer turns the KEM into encryption directly: the
 ciphertext is c = M * K for a GT-valued message M, and any recipient
 divides out the recovered K. The byte layer wraps arbitrary plaintexts in
-a deterministic hash-based DEM: a SHA-256 counter keystream XORed over the
-plaintext, authenticated encrypt-then-MAC style with a SHA-256 tag that is
-verified before a single plaintext byte is produced. The DEM key is bound
-to the session key through a domain-separated hash of its canonical
-encoding.
+a deterministic DEM, encrypt-then-MAC. The DEM key, a domain-separated
+SHA-256 of the session key's canonical encoding, yields two keys by
+HMAC-SHA256 under the labels "enc" and "mac". The body is the plaintext
+XORed with a SHAKE-256 keystream over enc_key || nonce, and the tag is
+HMAC-SHA256 under mac_key over nonce || body; open verifies the tag before
+a single plaintext byte is produced. The sealed layout is header ||
+16-byte nonce || 8-byte length || body || 32-byte tag.
 """
 
 import hashlib
@@ -102,31 +104,32 @@ def derive_dem_key(key: SessionKey) -> bytes:
     return hashlib.sha256(DEM_DOMAIN_TAG + encoded).digest()
 
 
-def _keystream(dem_key: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hashlib.sha256(
-            dem_key + nonce + counter.to_bytes(8, "big")
-        ).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+def _dem_keys(key: SessionKey) -> tuple[bytes, bytes]:
+    """The encryption key and the MAC key, both derived from the DEM key."""
+    dem_key = derive_dem_key(key)
+    return hmac.digest(dem_key, b"enc", "sha256"), hmac.digest(dem_key, b"mac", "sha256")
 
 
-def _tag(dem_key: bytes, nonce: bytes, body: bytes) -> bytes:
-    return hashlib.sha256(dem_key + nonce + body).digest()
+def _xor_keystream(enc_key: bytes, nonce: bytes, data: bytes) -> bytes:
+    stream = hashlib.shake_256(enc_key + nonce).digest(len(data))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
+
+
+def _tag(mac_key: bytes, nonce: bytes, body: bytes) -> bytes:
+    mac = hmac.new(mac_key, nonce, "sha256")
+    mac.update(body)
+    return mac.digest()
 
 
 def seal_bytes(recipients, pk: PublicKey, plaintext: bytes, rng) -> BroadcastCiphertext:
     """Encrypt and authenticate arbitrary bytes to the recipient set."""
     header, key = encaps(recipients, pk, rng)
-    dem_key = derive_dem_key(key)
+    enc_key, mac_key = _dem_keys(key)
     nonce = rng.randbytes(NONCE_SIZE)
-    stream = _keystream(dem_key, nonce, len(plaintext))
-    body = bytes(a ^ b for a, b in zip(plaintext, stream))
+    body = _xor_keystream(enc_key, nonce, plaintext)
     return BroadcastCiphertext(
-        header=header, nonce=nonce, body=body, tag=_tag(dem_key, nonce, body)
+        header=header, nonce=nonce, body=body, tag=_tag(mac_key, nonce, body)
     )
 
 
@@ -134,9 +137,7 @@ def open_bytes(recipients, i: int, share: PrivateKeyShare,
                ct: BroadcastCiphertext, pk: PublicKey) -> bytes:
     """Verify and decrypt; raises AuthenticationError on any tampering."""
     key = decaps(recipients, i, share, ct.header, pk)
-    dem_key = derive_dem_key(key)
-    expected = _tag(dem_key, ct.nonce, ct.body)
-    if not hmac.compare_digest(expected, ct.tag):
+    enc_key, mac_key = _dem_keys(key)
+    if not hmac.compare_digest(_tag(mac_key, ct.nonce, ct.body), ct.tag):
         raise AuthenticationError("ciphertext tag verification failed")
-    stream = _keystream(dem_key, ct.nonce, len(ct.body))
-    return bytes(a ^ b for a, b in zip(ct.body, stream))
+    return _xor_keystream(enc_key, ct.nonce, ct.body)

@@ -19,7 +19,8 @@ interface, making every output reproducible from a seed.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Union
 
 from .errors import DecodeError, MembershipError, ParameterError, SetError, UsageError
 from .groups import BilinearGroup, GElement, GTElement
@@ -90,10 +91,15 @@ class PublicKey:
     n: int
     group: BilinearGroup
     g: GElement
-    # index -> GElement for 1..n and n+2..2n; n+1 never present. Compared
-    # by == but left out of the hash, since a dict has none.
-    powers: dict = field(hash=False)
+    # index -> GElement for 1..n and n+2..2n; n+1 never present. Stored as
+    # a read-only copy of the mapping passed in, so no caller can add the
+    # hole later. Compared by == but left out of the hash, since a mapping
+    # has none.
+    powers: Mapping[int, GElement] = field(hash=False)
     v: GElement
+
+    def __post_init__(self):
+        object.__setattr__(self, "powers", MappingProxyType(dict(self.powers)))
 
     def power(self, i: int) -> GElement:
         if i == self.n + 1:

@@ -176,3 +176,81 @@ def crt_rsa_decrypt(c, d, p, q):
     # Garner recombination
     qinv = egcd_inverse(q, p)
     return mq + q * ((mp - mq) * qinv % p)
+
+
+def _first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _root_fraction_bits(k, n):
+    """The first 32 bits of the fractional part of the k-th root of n."""
+    target = n << (32 * k)
+    lo, hi = 0, 1 << 40
+    while lo < hi:  # the largest r with r**k <= target
+        mid = (lo + hi + 1) // 2
+        if mid**k <= target:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo & 0xFFFFFFFF
+
+
+# FIPS 180-4: the initial state and round constants are the fractional
+# parts of the square roots of the first 8 primes and the cube roots of
+# the first 64.
+SHA256_IV = tuple(_root_fraction_bits(2, p) for p in _first_primes(8))
+_SHA256_K = [_root_fraction_bits(3, p) for p in _first_primes(64)]
+_MASK32 = 0xFFFFFFFF
+
+
+def _rotr(x, n):
+    return (x >> n | x << (32 - n)) & _MASK32
+
+
+def sha256_compress(state, block):
+    """One SHA-256 compression of a 64-byte block into an 8-word state."""
+    w = [int.from_bytes(block[i:i + 4], "big") for i in range(0, 64, 4)]
+    for t in range(16, 64):
+        s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
+        s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
+        w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK32)
+    a, b, c, d, e, f, g, h = state
+    for t in range(64):
+        t1 = h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)) + ((e & f) ^ (~e & g))
+        t1 = (t1 + _SHA256_K[t] + w[t]) & _MASK32
+        t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + ((a & b) ^ (a & c) ^ (b & c))
+        h, g, f, e, d, c, b, a = g, f, e, (d + t1) & _MASK32, c, b, a, (t1 + t2) & _MASK32
+    return tuple((x + y) & _MASK32 for x, y in zip(state, (a, b, c, d, e, f, g, h)))
+
+
+def sha256_padding(length):
+    """The bytes SHA-256 appends to a message of `length` bytes."""
+    return b"\x80" + bytes(-(length + 9) % 64) + (8 * length).to_bytes(8, "big")
+
+
+def _sha256_finish(state, data, offset):
+    """Finish SHA-256 over data from `state`, the chaining value after `offset` bytes."""
+    message = data + sha256_padding(offset + len(data))
+    for i in range(0, len(message), 64):
+        state = sha256_compress(state, message[i:i + 64])
+    return b"".join(word.to_bytes(4, "big") for word in state)
+
+
+def sha256(data):
+    return _sha256_finish(SHA256_IV, data, 0)
+
+
+def sha256_extend(digest, length, suffix):
+    """SHA-256(m || sha256_padding(length) || suffix) from digest = SHA-256(m).
+
+    Only the digest and length = len(m) are needed, not m: this is the
+    length extension that makes SHA-256(key || message) no MAC.
+    """
+    state = tuple(int.from_bytes(digest[i:i + 4], "big") for i in range(0, 32, 4))
+    return _sha256_finish(state, suffix, length + len(sha256_padding(length)))

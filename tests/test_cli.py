@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bgwkem
 from bgwkem.cli import main
 
 # Seeds found by searching random.Random draw sequences:
@@ -231,9 +234,12 @@ def test_missing_subcommand_exits_2(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same bgwkem as this process, installed or not
+    source = str(Path(bgwkem.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "bgwkem", "analyze", "--q", "59", "--p", "5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "k=2" in result.stdout

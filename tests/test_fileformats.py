@@ -208,11 +208,26 @@ def test_reject_non_canonical_or_out_of_range_role(tmp_path, role):
     ("g1=6d", "g1= 6d"),
     ("g1=6d", "g1=6D"),
     ("v=6d", "v=6d "),
+    ("BGW1 mock", "BGW1\tmock"),
+    ("mock p=101", "mock  p=101"),
+    ("p=101 n=2", "n=2 p=101"),
+    ("n=2\n", "n=2 \n"),
+    ("p=101", "p=103 p=101"),
 ])
 def test_reject_non_canonical_numbers_and_hex(tmp_path, old, new):
     path = _mock_pk_file(tmp_path)
     _replace_once(path, old, new)
     with pytest.raises(DecodeError):
+        read_public_key(path)
+
+
+def test_reject_reordered_curve_parameters(tmp_path):
+    pk, _ = setup(1, make_curve_group(CurveParams(q=59, p=5)), random.Random(1))
+    path = tmp_path / "pk.bgw"
+    write_public_key(path, pk)
+    assert read_public_key(path) == pk
+    _replace_once(path, "q=59 p=5", "p=5 q=59")
+    with pytest.raises(DecodeError, match="not canonical"):
         read_public_key(path)
 
 

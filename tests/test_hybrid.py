@@ -1,8 +1,11 @@
+import hashlib
+import hmac
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bgwkem import (
     AuthenticationError,
     BroadcastCiphertext,
@@ -18,11 +21,22 @@ from bgwkem import (
     setup,
     make_mock_group,
 )
-from bgwkem.hybrid import DEM_DOMAIN_TAG
+from bgwkem.hybrid import DEM_DOMAIN_TAG, NONCE_SIZE
 
 # SHA-256("BGW-KEM-DEM-v1" || encode(GT trace 40 at mock p=101)), computed
 # once from the canonical encoding b"\x74\x28" and frozen.
 PINNED_DEM_KEY_HEX = "8d0f763969024333510b2b4bce3fa7ef93ca78ef12deed99a1d3922cb293e8e4"
+
+# seal_bytes({1, 2}, pk, b"broadcast me") at mock p=101, n=2 (alpha=2,
+# gamma=3), t=5 and nonce 00..0f: header (5, 45) || nonce || length 12 ||
+# body || tag, computed once and frozen.
+PINNED_SEALED_HEX = (
+    "6d056d2d"
+    "000102030405060708090a0b0c0d0e0f"
+    "000000000000000c"
+    "7d8e50b86f2fcdf63db77df2"
+    "66cac724da57ab683c38524235c5fc0c098b1e536b33fccb13818534d8698f29"
+)
 
 
 @pytest.fixture
@@ -97,8 +111,6 @@ class TestDemKey:
         assert derive_dem_key(k1) == derive_dem_key(k2)
 
     def test_distinct_keys_distinct_dem_keys(self, state, scripted):
-        import hashlib
-
         group, pk, _ = state
         _, k1 = encaps({1, 2}, pk, scripted([5]))
         _, k2 = encaps({1, 2}, pk, scripted([6]))
@@ -155,6 +167,46 @@ class TestByteMode:
         with pytest.raises(AuthenticationError):
             open_bytes({1, 2}, 2, shares[1], tampered, pk)
 
+    def test_sha256_oracle_matches_hashlib(self):
+        for length in (0, 1, 55, 56, 63, 64, 65, 119, 120, 200):
+            data = random.Random(length).randbytes(length)
+            assert oracles.sha256(data) == hashlib.sha256(data).digest()
+        message, suffix = b"k" * 48 + b"body", b"chosen"
+        glued = message + oracles.sha256_padding(len(message)) + suffix
+        assert (oracles.sha256_extend(hashlib.sha256(message).digest(), len(message), suffix)
+                == hashlib.sha256(glued).digest())
+
+    def test_length_extension_forgery_rejected(self, state):
+        # A tag SHA-256(dem_key || nonce || body) extends to body || glue ||
+        # extra without the key; the forged file must still fail to open.
+        group, pk, shares = state
+        ct = seal_bytes({1, 2}, pk, b"pay alice 10", random.Random(14))
+        signed = 32 + NONCE_SIZE + len(ct.body)
+        extra = b"0000000"
+        forged = BroadcastCiphertext(
+            header=ct.header,
+            nonce=ct.nonce,
+            body=ct.body + oracles.sha256_padding(signed) + extra,
+            tag=oracles.sha256_extend(ct.tag, signed, extra),
+        )
+        forged = BroadcastCiphertext.from_bytes(group, forged.to_bytes(group))
+        with pytest.raises(AuthenticationError):
+            open_bytes({1, 2}, 1, shares[0], forged, pk)
+
+    # 136 bytes is the SHAKE-256 rate
+    @pytest.mark.parametrize("length", [0, 1, 135, 136, 137, 1000])
+    def test_body_and_tag_match_hand_computation(self, state, length):
+        _, pk, _ = state
+        plaintext = random.Random(length).randbytes(length)
+        _, key = encaps({1, 2}, pk, random.Random(200 + length))
+        ct = seal_bytes({1, 2}, pk, plaintext, random.Random(200 + length))
+        dem_key = derive_dem_key(key)
+        enc_key = hmac.new(dem_key, b"enc", hashlib.sha256).digest()
+        mac_key = hmac.new(dem_key, b"mac", hashlib.sha256).digest()
+        stream = hashlib.shake_256(enc_key + ct.nonce).digest(length)
+        assert ct.body == bytes(a ^ b for a, b in zip(plaintext, stream))
+        assert ct.tag == hmac.new(mac_key, ct.nonce + ct.body, hashlib.sha256).digest()
+
     def test_non_member_cannot_open(self, state):
         _, pk, shares = state
         ct = seal_bytes({1}, pk, b"members only", random.Random(10))
@@ -172,6 +224,12 @@ class TestByteMode:
 
 
 class TestWireFormat:
+    def test_pinned_sealed_bytes(self, state, scripted):
+        group, pk, _ = state
+        rng = scripted([5], [bytes(range(NONCE_SIZE))])
+        data = seal_bytes({1, 2}, pk, b"broadcast me", rng).to_bytes(group)
+        assert data.hex() == PINNED_SEALED_HEX
+
     def test_round_trip(self, state):
         group, pk, _ = state
         ct = seal_bytes({1, 2}, pk, b"x" * 100, random.Random(11))

@@ -9,6 +9,7 @@ from bgwkem import (
     MembershipError,
     ParameterError,
     PrivateKeyShare,
+    PublicKey,
     RecipientSet,
     SetError,
     UsageError,
@@ -81,6 +82,18 @@ class TestSetup:
     def test_public_key_element_count(self, worked_example):
         _, pk, _ = worked_example
         assert 2 + len(pk.powers) == 2 * pk.n + 1
+
+    def test_public_key_powers_are_read_only(self, worked_example):
+        group, pk, _ = worked_example
+        with pytest.raises(TypeError):
+            pk.powers[3] = pk.g
+        assert 3 not in pk.powers
+        passed = dict(pk.powers)
+        copy = PublicKey(n=pk.n, group=group, g=pk.g, powers=passed, v=pk.v)
+        passed[3] = pk.g
+        del passed[1]
+        assert dict(copy.powers) == dict(pk.powers)
+        assert copy == pk and hash(copy) == hash(pk)
 
     def test_parameter_errors(self, mock101):
         rng = random.Random(0)
