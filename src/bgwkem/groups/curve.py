@@ -24,12 +24,16 @@ at phi(Q): its imaginary part is a nonzero multiple of y_Q.
 
 The final exponentiation uses the Frobenius: f^q = conj(f) in F_{q^2}, so
 f^(q-1) = conj(f) / f, which is then raised to the small cofactor (q+1)/p.
-Scalar multiplication is Jacobian double-and-add with one inversion at the
-end. Every GT element has norm 1, so its inverse is its conjugate.
+Every GT element has norm 1, so its inverse is its conjugate.
+
+Every G operation (mul, exp and the subgroup check of decode_g) runs in
+Jacobian coordinates through one doubling and one mixed addition, and
+inverts once, in _to_affine. The Miller loop moves R with the same two step
+functions and builds its lines from the values they return.
 
 Points are affine (x, y) tuples with None for infinity; Jacobian triples
-live only inside scalar multiplication and the Miller loop. F_{q^2} values
-are (real, imag) tuples. Both stay opaque inside GElement/GTElement wrappers.
+live only inside the G operations and the Miller loop. F_{q^2} values are
+(real, imag) tuples. Both stay opaque inside GElement/GTElement wrappers.
 """
 
 from dataclasses import dataclass
@@ -125,28 +129,14 @@ class CurveGroup(BilinearGroup):
             return None
         return (P[0], -P[1] % self.q)
 
-    def _pt_add(self, P, Q):
-        """Affine P + Q, for mul on G where the result must be affine."""
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        q = self.q
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if (y1 + y2) % q == 0:
-                return None
-            m = (3 * x1 * x1 + 1) * self._finv(2 * y1) % q
-        else:
-            m = (y2 - y1) * self._finv(x2 - x1) % q
-        x3 = (m * m - x1 - x2) % q
-        return (x3, (m * (x1 - x3) - y1) % q)
-
     # Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); any
     # triple with Z = 0 is infinity.
 
     def _jac_double(self, X, Y, Z):
+        """2R as (X', Y', Z'), then M = 3X^2 + Z^4, Y^2 and Z^2.
+
+        The last three are the tangent's inputs in the Miller loop.
+        """
         # a point with Y = 0 has order 2, and Z' = 2YZ = 0 makes it infinity
         q = self.q
         YY = Y * Y % q
@@ -154,24 +144,39 @@ class CurveGroup(BilinearGroup):
         M = (3 * X * X + ZZ * ZZ) % q
         S = 4 * X * YY % q
         X3 = (M * M - 2 * S) % q
-        return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q
+        return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q, M, YY, ZZ
 
     def _jac_add_affine(self, X, Y, Z, xp, yp):
-        """Jacobian R plus affine P = (xp, yp)."""
+        """R + P for Jacobian R and affine P = (xp, yp), as (X', Y', Z', r).
+
+        r = yp*Z^3 - Y is the chord's input in the Miller loop (0 when R is
+        infinity or R = P, where there is no chord). R = -P gives Z' = 0.
+        """
         if Z == 0:
-            return xp, yp, 1
+            return xp, yp, 1, 0
         q = self.q
         ZZ = Z * Z % q
         H = (xp * ZZ - X) % q
         r = (yp * ZZ * Z - Y) % q
         if H == 0:
             # same x: R = P when the y's agree too, otherwise R = -P
-            return self._jac_double(X, Y, Z) if r == 0 else (1, 1, 0)
+            if r == 0:
+                return *self._jac_double(X, Y, Z)[:3], 0
+            return 1, 1, 0, r
         HH = H * H % q
         HHH = H * HH % q
         V = X * HH % q
         X3 = (r * r - HHH - 2 * V) % q
-        return X3, (r * (V - X3) - Y * HHH) % q, Z * H % q
+        return X3, (r * (V - X3) - Y * HHH) % q, Z * H % q, r
+
+    def _to_affine(self, X, Y, Z):
+        """The affine point (X/Z^2, Y/Z^3), or None when Z = 0."""
+        if Z == 0:
+            return None
+        q = self.q
+        zinv = self._finv(Z)
+        zz = zinv * zinv % q
+        return (X * zz % q, Y * zz * zinv % q)
 
     def _pt_mul(self, k: int, P):
         """[k]P for k >= 0 by left-to-right double-and-add, inverting once."""
@@ -180,15 +185,10 @@ class CurveGroup(BilinearGroup):
         xp, yp = P
         X, Y, Z = xp, yp, 1
         for bit in bin(k)[3:]:
-            X, Y, Z = self._jac_double(X, Y, Z)
+            X, Y, Z = self._jac_double(X, Y, Z)[:3]
             if bit == "1":
-                X, Y, Z = self._jac_add_affine(X, Y, Z, xp, yp)
-        if Z == 0:
-            return None
-        q = self.q
-        zinv = self._finv(Z)
-        zz = zinv * zinv % q
-        return (X * zz % q, Y * zz * zinv % q)
+                X, Y, Z, _ = self._jac_add_affine(X, Y, Z, xp, yp)
+        return self._to_affine(X, Y, Z)
 
     def _find_generator(self):
         """First cofactor-cleared point of exact order p, scanning x upward."""
@@ -223,39 +223,24 @@ class CurveGroup(BilinearGroup):
         X, Y, Z = xp, yp, 1
         for bit in bin(self.order)[3:]:
             # tangent at R, times 2*Y*Z^3:
-            # (M*(X - xt*Z^2) - 2*Y^2) + (2*Y*Z * Z^2 * yt)*i, M = 3X^2 + Z^4
-            YY = Y * Y % q
-            ZZ = Z * Z % q
-            M = (3 * X * X + ZZ * ZZ) % q
-            Z3 = 2 * Y * Z % q
+            # (M*(X - xt*Z^2) - 2*Y^2) + (Z' * Z^2 * yt)*i, Z' = 2*Y*Z
+            X3, Y, Z, M, YY, ZZ = self._jac_double(X, Y, Z)
             l0 = (M * (X - xt * ZZ) - 2 * YY) % q
-            l1 = Z3 * ZZ % q * yt % q
+            l1 = Z * ZZ % q * yt % q
+            X = X3
             a, b = (a + b) * (a - b) % q, 2 * a * b % q
             a, b = (a * l0 - b * l1) % q, (a * l1 + b * l0) % q
-            S = 4 * X * YY % q
-            X = (M * M - 2 * S) % q
-            Y = (M * (S - X) - 8 * YY * YY) % q
-            Z = Z3
             if bit == "1":
-                # chord through R and P, times Z*H:
-                # (-yp*Z' - r*(xt - xp)) + (Z' * yt)*i, Z' = Z*H
-                ZZ = Z * Z % q
-                H = (xp * ZZ - X) % q
-                if H == 0:
+                # chord through R and P, times Z' = Z*H:
+                # (-yp*Z' - r*(xt - xp)) + (Z' * yt)*i
+                X, Y, Z, r = self._jac_add_affine(X, Y, Z, xp, yp)
+                if Z == 0:
                     # R = -P, which happens only at the last bit: the line is
                     # vertical and R + P = O, so the loop is done
                     break
-                r = (yp * ZZ * Z - Y) % q
-                Z3 = Z * H % q
-                l0 = (-yp * Z3 - r * (xt - xp)) % q
-                l1 = Z3 * yt % q
+                l0 = (-yp * Z - r * (xt - xp)) % q
+                l1 = Z * yt % q
                 a, b = (a * l0 - b * l1) % q, (a * l1 + b * l0) % q
-                HH = H * H % q
-                HHH = H * HH % q
-                V = X * HH % q
-                X = (r * r - HHH - 2 * V) % q
-                Y = (r * (V - X) - Y * HHH) % q
-                Z = Z3
         return a, b
 
     def _final_power(self, f):
@@ -287,7 +272,11 @@ class CurveGroup(BilinearGroup):
             return GTElement(self, self._f2mul(a.value, b.value))
         self._claim(a, GElement)
         self._claim(b, GElement)
-        return GElement(self, self._pt_add(a.value, b.value))
+        P, Q = a.value, b.value
+        if P is None or Q is None:
+            return GElement(self, Q if P is None else P)
+        X, Y, Z, _ = self._jac_add_affine(*P, 1, *Q)
+        return GElement(self, self._to_affine(X, Y, Z))
 
     def inverse(self, a):
         if isinstance(a, GTElement):

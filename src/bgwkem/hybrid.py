@@ -111,8 +111,9 @@ def _dem_keys(key: SessionKey) -> tuple[bytes, bytes]:
 
 
 def _xor_keystream(enc_key: bytes, nonce: bytes, data: bytes) -> bytes:
-    stream = hashlib.shake_256(enc_key + nonce).digest(len(data))
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    # the keystream bytes are freed inside from_bytes, before the XOR allocates
+    stream = int.from_bytes(hashlib.shake_256(enc_key + nonce).digest(len(data)), "big")
+    mixed = int.from_bytes(data, "big") ^ stream
     return mixed.to_bytes(len(data), "big")
 
 

@@ -73,6 +73,30 @@ def test_scalar_multiplication_exhaustive_on_whole_curve(q, p):
             assert group._pt_mul(k, P) == oracles.ec_mul(k, P, q), (P, k)
 
 
+@pytest.mark.parametrize("q, p", TINY_CURVES)
+def test_mul_and_inverse_exhaustive_on_g(q, p):
+    # Every pair, so the identity, P * P (the R = P doubling inside the mixed
+    # addition) and P * P^-1 (R = -P, giving infinity) all occur.
+    group = make_curve_group(CurveParams(q=q, p=p))
+    elements = [group.generator() ** k for k in range(p)]
+    assert elements[0] == group.identity_g()
+    for a in elements:
+        assert group.inverse(a).value == oracles.ec_mul(-1, a.value, q)
+        for b in elements:
+            assert (a * b).value == oracles.ec_add(a.value, b.value, q), (a, b)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_mul_matches_oracle(curve, data):
+    q, p = curve.q, curve.order
+    a = data.draw(st.integers(0, p - 1), label="a")
+    b = data.draw(st.one_of(st.just(a), st.just(-a % p), st.integers(0, p - 1)), label="b")
+    g = curve.generator()
+    P, Q = g ** a, g ** b
+    assert (P * Q).value == oracles.ec_add(P.value, Q.value, q)
+
+
 def test_generators_unchanged():
     assert make_curve_group(CurveParams(q=59, p=5)).generator().value == (35, 31)
     for q, p in TINY_CURVES + CURVES[1:]:

@@ -1,6 +1,7 @@
 import hashlib
 import hmac
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,24 @@ class TestByteMode:
         stream = hashlib.shake_256(enc_key + ct.nonce).digest(length)
         assert ct.body == bytes(a ^ b for a, b in zip(plaintext, stream))
         assert ct.tag == hmac.new(mac_key, ct.nonce + ct.body, hashlib.sha256).digest()
+
+    def test_one_mib_peaks_below_three_and_a_half_payloads(self, state):
+        # Seal and open each hold the payload as bytes and as integers; the
+        # keystream bytes must be gone before the XOR allocates its result.
+        _, pk, shares = state
+        plaintext = random.Random(15).randbytes(1 << 20)
+        ct = seal_bytes({1, 2}, pk, plaintext, random.Random(16))
+        for run in (
+            lambda: seal_bytes({1, 2}, pk, plaintext, random.Random(16)),
+            lambda: open_bytes({1, 2}, 1, shares[0], ct, pk),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5 * (1 << 20), peak
 
     def test_non_member_cannot_open(self, state):
         _, pk, shares = state
