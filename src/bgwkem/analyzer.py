@@ -10,6 +10,7 @@ the 80-bit security level.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import ParameterError
 from .primes import is_prime
@@ -29,6 +30,24 @@ class ParamReport:
     working_bits: int
     divisibility_witness: int  # (q^k - 1) // p
     reaches_reference_working_size: bool
+
+    def __repr__(self):
+        # the generated repr would run str() on the witness; see decimal_string
+        values = ", ".join(
+            f"{name}={decimal_string(v) if type(v) is int else repr(v)}"
+            for name, v in vars(self).items()
+        )
+        return f"ParamReport({values})"
+
+
+def decimal_string(n: int) -> str:
+    """str(n) for an int of any length.
+
+    str() refuses ints longer than sys.get_int_max_str_digits() (4300 by
+    default), and the witness (q^k - 1) / p has about k*log10(q) digits.
+    Decimal converts exactly without that limit.
+    """
+    return str(Decimal(n))
 
 
 def embedding_degree(q: int, p: int, k_max: int | None = None) -> int:

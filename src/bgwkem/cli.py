@@ -13,7 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from .analyzer import security_report
+from .analyzer import decimal_string, security_report
 from .errors import (
     AuthenticationError,
     DecodeError,
@@ -143,7 +143,7 @@ def cmd_analyze(args) -> int:
     print(f"k={report.k}")
     print(f"base_bits={report.base_bits}")
     print(f"working_bits={report.working_bits}")
-    print(f"divisibility_witness={report.divisibility_witness}")
+    print(f"divisibility_witness={decimal_string(report.divisibility_witness)}")
     print(f"reaches_reference_working_size={str(report.reaches_reference_working_size).lower()}")
     return 0
 

@@ -9,6 +9,9 @@ backends or parameter sets. A group is identified by its parameters alone:
 two separately built groups with equal parameters are equal, and their
 elements mix freely.
 
+Every public op checks its operands with ``_claim`` and exp its exponent
+with ``_exponent``: backends only compute, so both refuse misuse alike.
+
 Elements support ``*``, ``/`` and ``**`` so protocol formulas read like the
 algebra they implement. Groups and elements are immutable after
 construction and safe to share across threads; no randomness is consumed
@@ -54,6 +57,9 @@ class GElement(_Element):
 
 class GTElement(_Element):
     """Element of the pairing target group GT."""
+
+
+_NO_OPERAND = object()  # _claim's default b; None is an operand passed by mistake
 
 
 class BilinearGroup(ABC):
@@ -129,15 +135,29 @@ class BilinearGroup(ABC):
 
     # -- shared plumbing ---------------------------------------------
 
-    def _claim(self, x, kind):
-        """Check that x is one of ours and of the expected element kind."""
-        if not isinstance(x, kind):
-            raise UsageError(
-                f"expected {kind.__name__}, got {type(x).__name__}"
-            )
-        if x.group is not self and x.group.params != self.params:
+    def _claim(self, a, b=_NO_OPERAND, kind=None):
+        """The kind, GElement or GTElement, of a and of b if given.
+
+        Raises UsageError unless each operand is an element of this group,
+        both are of one kind, and that kind is ``kind`` where one is given.
+        """
+        found = type(a)
+        if found is not GElement and found is not GTElement:
+            raise UsageError(f"expected a group element, got {found.__name__}")
+        kind = kind or found
+        if found is not kind or (b is not _NO_OPERAND and type(b) is not kind):
+            raise UsageError(f"operands must all be {kind.__name__}")
+        if (a.group is not self and a.group.params != self.params) or (
+            b is not _NO_OPERAND and b.group is not self and b.group.params != self.params
+        ):
             raise UsageError("element belongs to a different group")
-        return x
+        return found
+
+    def _exponent(self, exponent) -> int:
+        """exponent mod the group order; raises UsageError unless it is an int."""
+        if not isinstance(exponent, int):
+            raise UsageError(f"exponent must be an int, got {type(exponent).__name__}")
+        return exponent % self.order
 
     def describe(self) -> str:
         """Stable parameter string, e.g. 'mock p=101' or 'curve q=59 p=5'."""

@@ -266,12 +266,8 @@ class CurveGroup(BilinearGroup):
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, a, b):
-        if isinstance(a, GTElement):
-            self._claim(a, GTElement)
-            self._claim(b, GTElement)
+        if self._claim(a, b) is GTElement:
             return GTElement(self, self._f2mul(a.value, b.value))
-        self._claim(a, GElement)
-        self._claim(b, GElement)
         P, Q = a.value, b.value
         if P is None or Q is None:
             return GElement(self, Q if P is None else P)
@@ -279,24 +275,18 @@ class CurveGroup(BilinearGroup):
         return GElement(self, self._to_affine(X, Y, Z))
 
     def inverse(self, a):
-        if isinstance(a, GTElement):
-            self._claim(a, GTElement)
+        if self._claim(a) is GTElement:
             # every GT element has norm 1, so its inverse is its conjugate
             return GTElement(self, self._f2conj(a.value))
-        self._claim(a, GElement)
         return GElement(self, self._pt_neg(a.value))
 
     def exp(self, x, exponent: int):
-        k = exponent % self.order
-        if isinstance(x, GTElement):
-            self._claim(x, GTElement)
-            return GTElement(self, self._f2pow(x.value, k))
-        self._claim(x, GElement)
-        return GElement(self, self._pt_mul(k, x.value))
+        if self._claim(x) is GTElement:
+            return GTElement(self, self._f2pow(x.value, self._exponent(exponent)))
+        return GElement(self, self._pt_mul(self._exponent(exponent), x.value))
 
     def pair(self, p: GElement, q: GElement) -> GTElement:
-        self._claim(p, GElement)
-        self._claim(q, GElement)
+        self._claim(p, q, GElement)
         if p.value is None or q.value is None:
             return self.identity_gt()
         f = self._miller(p.value, q.value)
@@ -305,11 +295,9 @@ class CurveGroup(BilinearGroup):
     # -- serialization ---------------------------------------------------
 
     def encode(self, x) -> bytes:
-        if isinstance(x, GTElement):
-            self._claim(x, GTElement)
+        if self._claim(x) is GTElement:
             a, b = x.value
             return a.to_bytes(self._qwidth, "big") + b.to_bytes(self._qwidth, "big")
-        self._claim(x, GElement)
         if x.value is None:
             return bytes([_INFINITY_TAG]) + bytes(2 * self._qwidth)
         px, py = x.value

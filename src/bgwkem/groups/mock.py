@@ -38,39 +38,30 @@ class MockGroup(BilinearGroup):
 
     def gt_element(self, trace: int) -> GTElement:
         """GT element with the given trace; handy for exhaustive sweeps."""
-        return GTElement(self, trace % self.order)
+        return GTElement(self, self._exponent(trace))
 
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, a, b):
-        kind = GTElement if isinstance(a, GTElement) else GElement
-        self._claim(a, kind)
-        self._claim(b, kind)
+        kind = self._claim(a, b)
         return kind(self, (a.value + b.value) % self.order)
 
     def inverse(self, a):
-        kind = GTElement if isinstance(a, GTElement) else GElement
-        self._claim(a, kind)
+        kind = self._claim(a)
         return kind(self, (-a.value) % self.order)
 
     def exp(self, x, exponent: int):
-        kind = GTElement if isinstance(x, GTElement) else GElement
-        self._claim(x, kind)
-        return kind(self, x.value * (exponent % self.order) % self.order)
+        kind = self._claim(x)
+        return kind(self, x.value * self._exponent(exponent) % self.order)
 
     def pair(self, p: GElement, q: GElement) -> GTElement:
-        self._claim(p, GElement)
-        self._claim(q, GElement)
+        self._claim(p, q, GElement)
         return GTElement(self, p.value * q.value % self.order)
 
     # -- serialization ---------------------------------------------------
 
     def encode(self, x) -> bytes:
-        if isinstance(x, GTElement):
-            kind, tag = GTElement, _GT_TAG
-        else:
-            kind, tag = GElement, _G_TAG
-        self._claim(x, kind)
+        tag = _GT_TAG if self._claim(x) is GTElement else _G_TAG
         return bytes([tag]) + x.value.to_bytes(self._width, "big")
 
     def decode_g(self, data: bytes) -> GElement:

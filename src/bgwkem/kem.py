@@ -91,7 +91,7 @@ class PublicKey:
     n: int
     group: BilinearGroup
     g: GElement
-    # index -> GElement for 1..n and n+2..2n; n+1 never present. Stored as
+    # index -> GElement for 1..n and n+2..2n; n+1 is refused. Stored as
     # a read-only copy of the mapping passed in, so no caller can add the
     # hole later. Compared by == but left out of the hash, since a mapping
     # has none.
@@ -100,6 +100,8 @@ class PublicKey:
 
     def __post_init__(self):
         object.__setattr__(self, "powers", MappingProxyType(dict(self.powers)))
+        if self.n + 1 in self.powers:
+            raise UsageError(f"power {self.n + 1} is the hole and is never published")
 
     def power(self, i: int) -> GElement:
         if i == self.n + 1:

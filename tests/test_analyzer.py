@@ -61,6 +61,21 @@ def test_report_small_case():
     assert not report.reaches_reference_working_size
 
 
+def test_report_repr_shows_a_witness_past_the_int_str_limit():
+    report = security_report(2**127 - 1, 1019)
+    assert report.k == 1018
+    text = repr(report)
+    assert text.startswith(
+        "ParamReport(q=170141183460469231731687303715884105727, p=1019, k=1018, "
+        "base_bits=127, working_bits=129286, divisibility_witness="
+    )
+    assert text.endswith(", reaches_reference_working_size=True)")
+    assert repr(security_report(59, 5)) == (
+        "ParamReport(q=59, p=5, k=2, base_bits=6, working_bits=12, "
+        "divisibility_witness=696, reaches_reference_working_size=False)"
+    )
+
+
 def test_report_k1_means_no_inflation():
     report = security_report(11, 5)
     assert report.k == 1

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,24 @@ def test_simulate_on_curve_backend(capsys):
     assert [r.split()[2] for r in out[1:4]] == ["REFUSED", "OK", "REFUSED"]
 
 
+ANALYZE_59_5 = """\
+base field q        : 59
+subgroup order p    : 5
+embedding degree k  : 2
+input size          : 6 bits (base field)
+working size        : 12 bits (degree-k extension)
+at 1024-bit working scale (160-bit-input reference): no
+
+q=59
+p=5
+k=2
+base_bits=6
+working_bits=12
+divisibility_witness=696
+reaches_reference_working_size=false
+"""
+
+
 def test_analyze_output(capsys):
     assert run("analyze", "--q", 59, "--p", 5) == 0
     out = capsys.readouterr().out
@@ -193,8 +212,21 @@ def test_analyze_output(capsys):
     assert "working_bits=12" in out
     assert "base_bits=6" in out
     assert "divisibility_witness=696" in out
+    assert out == ANALYZE_59_5
     assert run("analyze", "--q", 11, "--p", 5) == 0
     assert "k=1" in capsys.readouterr().out
+
+
+def test_analyze_prints_a_witness_past_the_int_str_limit(capsys):
+    # k = 1018, so the witness has about 38 900 digits: beyond the 4300 that
+    # str() allows an int by default
+    q, p = 2**127 - 1, 1019
+    assert run("analyze", "--q", q, "--p", p) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "embedding degree k  : 1018"
+    assert out[-2].startswith("divisibility_witness=")
+    assert int(Decimal(out[-2].split("=")[1])) == (q**1018 - 1) // p
+    assert out[-1] == "reaches_reference_working_size=true"
 
 
 def test_analyze_rejects_composites(capsys):

@@ -79,6 +79,12 @@ class TestSetup:
         with pytest.raises(UsageError):
             pk.power(3)
 
+    def test_public_key_refuses_the_hole(self, worked_example):
+        group, pk, _ = worked_example
+        powers = {**pk.powers, 3: pk.g ** 8}
+        with pytest.raises(UsageError, match="hole"):
+            PublicKey(n=pk.n, group=group, g=pk.g, powers=powers, v=pk.v)
+
     def test_public_key_element_count(self, worked_example):
         _, pk, _ = worked_example
         assert 2 + len(pk.powers) == 2 * pk.n + 1

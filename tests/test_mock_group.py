@@ -178,13 +178,39 @@ def test_make_group_rejects_bad_parameters(backend, params):
         make_group(backend, **params)
 
 
-def test_g_and_gt_do_not_mix(mock101):
-    g = mock101.generator()
-    gt = mock101.pair(g, g)
+@pytest.mark.parametrize("backend", sorted(_GROUP_PAIRS))
+def test_g_and_gt_do_not_mix(backend):
+    group = _GROUP_PAIRS[backend][0]()
+    g = group.generator()
+    gt = group.pair(g, g)
+    for a, b in ((g, gt), (gt, g)):
+        with pytest.raises(UsageError):
+            group.mul(a, b)
+        with pytest.raises(UsageError):
+            group.div(a, b)
+        with pytest.raises(UsageError):
+            group.pair(a, b)
     with pytest.raises(UsageError):
-        mock101.mul(g, gt)
-    with pytest.raises(UsageError):
-        mock101.pair(g, gt)
+        group.pair(gt, gt)
     assert isinstance(g, GElement)
     assert isinstance(gt, GTElement)
     assert g != gt
+
+
+@pytest.mark.parametrize("backend", sorted(_GROUP_PAIRS))
+def test_non_elements_and_non_int_exponents_are_refused(backend):
+    # both backends refuse the same calls, with the same error
+    group = _GROUP_PAIRS[backend][0]()
+    g = group.generator()
+    gt = group.pair(g, g)
+    for bad in (None, 3, g.value, gt.value):
+        for call in (group.inverse, group.encode, lambda x: group.exp(x, 2),
+                     lambda x: group.mul(g, x), lambda x: group.mul(x, gt)):
+            with pytest.raises(UsageError):
+                call(bad)
+    for x in (g, gt):
+        for exponent in (2.5, 2.0, "3", None):
+            with pytest.raises(UsageError):
+                group.exp(x, exponent)
+            with pytest.raises(UsageError):
+                x ** exponent
