@@ -20,6 +20,12 @@ from .primes import is_prime
 REFERENCE_INPUT_BITS = 160
 REFERENCE_WORKING_BITS = 1024
 
+# The largest working size k * base_bits a report computes. It bounds both
+# the embedding-degree search and the witness (q^k - 1) / p, whose decimal
+# string takes time quadratic in its length: 2^18 bits is about 79 000
+# digits, converted in well under a second.
+MAX_WORKING_BITS = 2**18
+
 
 @dataclass(frozen=True)
 class ParamReport:
@@ -75,9 +81,15 @@ def embedding_degree(q: int, p: int, k_max: int | None = None) -> int:
 
 
 def security_report(q: int, p: int, k_max: int | None = None) -> ParamReport:
-    """Full report: embedding degree, input size, and working size."""
-    k = embedding_degree(q, p, k_max)
+    """Full report: embedding degree, input size, and working size.
+
+    The search stops where the working size would pass MAX_WORKING_BITS,
+    so a larger k raises ParameterError like one beyond k_max.
+    """
     base_bits = q.bit_length()
+    if k_max is None:
+        k_max = p - 1
+    k = embedding_degree(q, p, min(k_max, MAX_WORKING_BITS // base_bits))
     working_bits = k * base_bits
     return ParamReport(
         q=q,

@@ -19,6 +19,8 @@ anywhere in this package.
 """
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
+from functools import reduce
 
 from ..errors import UsageError
 
@@ -100,6 +102,19 @@ class BilinearGroup(ABC):
 
     def div(self, a, b):
         return self.mul(a, self.inverse(b))
+
+    def product(self, elements: Sequence[GElement]) -> GElement:
+        """The product of a non-empty sequence of G elements.
+
+        Raises UsageError on an empty sequence or on any operand that is not
+        a G element of this group. This version folds mul, whose own checks
+        cover every operand after the first; a backend with a cheaper n-ary
+        law overrides it.
+        """
+        if not elements:
+            raise UsageError("product of an empty sequence")
+        self._claim(elements[0], kind=GElement)
+        return reduce(self.mul, elements)
 
     @abstractmethod
     def exp(self, x, exponent: int):

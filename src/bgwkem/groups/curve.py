@@ -26,19 +26,25 @@ The final exponentiation uses the Frobenius: f^q = conj(f) in F_{q^2}, so
 f^(q-1) = conj(f) / f, which is then raised to the small cofactor (q+1)/p.
 Every GT element has norm 1, so its inverse is its conjugate.
 
-Every G operation (mul, exp and the subgroup check of decode_g) runs in
-Jacobian coordinates through one doubling and one mixed addition, and
-inverts once, in _to_affine. The Miller loop moves R with the same two step
-functions and builds its lines from the values they return.
+Every G operation runs in Jacobian coordinates through one doubling and
+one mixed addition (Cohen-Miyaji-Ono, ASIACRYPT 1998), and inverts once, in
+_to_affine. mul, product and exp of the generator are one Jacobian sum of
+affine points (_sum): product adds all its operands before that single
+inversion, and g^k adds the entries [2^i]g of a doubling table, built once
+per group, for the set bits of k. exp of any other base and the subgroup
+check of decode_g double and add in _pt_mul. The Miller loop moves R with
+the same two step functions and builds its lines from the values they
+return.
 
 Points are affine (x, y) tuples with None for infinity; Jacobian triples
 live only inside the G operations and the Miller loop. F_{q^2} values are
 (real, imag) tuples. Both stay opaque inside GElement/GTElement wrappers.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..errors import DecodeError, ParameterError
+from ..errors import DecodeError, ParameterError, UsageError
 from ..primes import is_prime
 from .base import BilinearGroup, GElement, GTElement
 
@@ -94,6 +100,11 @@ class CurveGroup(BilinearGroup):
         self._cofactor = params.cofactor
         self._qwidth = (self.q.bit_length() + 7) // 8
         self._gen = self._find_generator()
+        # [2^i]g for every bit an exponent mod p can have
+        self._gen_table = [self._gen]
+        for _ in range(self.order.bit_length() - 1):
+            P = self._gen_table[-1]
+            self._gen_table.append(self._sum((P, P)))
 
     # -- F_q and F_{q^2} helpers ---------------------------------------
 
@@ -177,6 +188,14 @@ class CurveGroup(BilinearGroup):
         zinv = self._finv(Z)
         zz = zinv * zinv % q
         return (X * zz % q, Y * zz * zinv % q)
+
+    def _sum(self, points):
+        """The affine sum of affine points (None is infinity), inverting once."""
+        X, Y, Z = 1, 1, 0
+        for P in points:
+            if P is not None:
+                X, Y, Z, _ = self._jac_add_affine(X, Y, Z, *P)
+        return self._to_affine(X, Y, Z)
 
     def _pt_mul(self, k: int, P):
         """[k]P for k >= 0 by left-to-right double-and-add, inverting once."""
@@ -268,11 +287,14 @@ class CurveGroup(BilinearGroup):
     def mul(self, a, b):
         if self._claim(a, b) is GTElement:
             return GTElement(self, self._f2mul(a.value, b.value))
-        P, Q = a.value, b.value
-        if P is None or Q is None:
-            return GElement(self, Q if P is None else P)
-        X, Y, Z, _ = self._jac_add_affine(*P, 1, *Q)
-        return GElement(self, self._to_affine(X, Y, Z))
+        return GElement(self, self._sum((a.value, b.value)))
+
+    def product(self, elements: Sequence[GElement]) -> GElement:
+        if not elements:
+            raise UsageError("product of an empty sequence")
+        for x in elements:
+            self._claim(x, kind=GElement)
+        return GElement(self, self._sum([x.value for x in elements]))
 
     def inverse(self, a):
         if self._claim(a) is GTElement:
@@ -281,9 +303,14 @@ class CurveGroup(BilinearGroup):
         return GElement(self, self._pt_neg(a.value))
 
     def exp(self, x, exponent: int):
-        if self._claim(x) is GTElement:
-            return GTElement(self, self._f2pow(x.value, self._exponent(exponent)))
-        return GElement(self, self._pt_mul(self._exponent(exponent), x.value))
+        kind = self._claim(x)
+        k = self._exponent(exponent)
+        if kind is GTElement:
+            return GTElement(self, self._f2pow(x.value, k))
+        if x.value == self._gen:
+            terms = [self._gen_table[i] for i in range(k.bit_length()) if k >> i & 1]
+            return GElement(self, self._sum(terms))
+        return GElement(self, self._pt_mul(k, x.value))
 
     def pair(self, p: GElement, q: GElement) -> GTElement:
         self._claim(p, q, GElement)

@@ -2,11 +2,12 @@
 
 Setup publishes PK = (g, g_1, ..., g_n, g_{n+2}, ..., g_{2n}, v) with
 g_i = g^(alpha^i) and v = g^gamma; the power g_{n+1} is the deliberate hole
-in the sequence. User i holds d_i = g_i^gamma. A broadcaster picks t and
-sends the constant-size header (C0, C1) = (g^t, (v * prod_{j in S}
-g_{n+1-j})^t); the session key is K = e(g_{n+1}, g)^t, which the
-broadcaster obtains without knowing g_{n+1} as e(g_n, g_1)^t. Recipient
-i in S recovers
+in the sequence. User i holds d_i = g_i^gamma = g^(alpha^i * gamma), which
+is how setup computes it, so that every exponentiation of setup has base g.
+A broadcaster picks t and sends the constant-size header (C0, C1) =
+(g^t, (v * prod_{j in S} g_{n+1-j})^t); the session key is
+K = e(g_{n+1}, g)^t, which the broadcaster obtains without knowing g_{n+1}
+as e(g_n, g_1)^t. Recipient i in S recovers
 
     K = e(g_i, C1) / e(d_i * prod_{j in S, j != i} g_{n+1-j+i}, C0)
 
@@ -181,20 +182,19 @@ def setup(n: int, group: BilinearGroup, rng) -> tuple[PublicKey, list[PrivateKey
 
     g = group.generator()
     powers = {}
+    shares = []
     apow = 1
     for i in range(1, 2 * n + 1):
         apow = apow * alpha % p
         powers[i] = group.exp(g, apow)
+        if i <= n:
+            shares.append(PrivateKeyShare(index=i, d=group.exp(g, apow * gamma)))
     # The hole: materialized like every other power, then dropped so that
     # nothing downstream can ever see or serialize it.
     powers.pop(n + 1)
 
     v = group.exp(g, gamma)
     pk = PublicKey(n=n, group=group, g=g, powers=powers, v=v)
-    shares = [
-        PrivateKeyShare(index=i, d=group.exp(powers[i], gamma))
-        for i in range(1, n + 1)
-    ]
     return pk, shares
 
 
@@ -209,9 +209,7 @@ def encaps(recipients, pk: PublicKey, rng) -> tuple[Header, SessionKey]:
     p = pk.group.order
     t = rng.randrange(1, p)
 
-    base = pk.v
-    for j in s:
-        base = base * pk.power(pk.n + 1 - j)
+    base = pk.group.product([pk.v] + [pk.power(pk.n + 1 - j) for j in s])
     header = Header(c0=pk.g ** t, c1=base ** t)
     # e(g_{n+1}, g) is unobtainable directly (the hole), but equals
     # e(g_n, g_1) by bilinearity.
@@ -230,10 +228,8 @@ def decaps(recipients, i: int, share: PrivateKeyShare, header: Header,
         raise UsageError(f"share is for user {share.index}, not user {i}")
 
     numerator = pk.group.pair(pk.power(i), header.c1)
-    acc = share.d
-    for j in s:
-        if j != i:
-            acc = acc * pk.power(pk.n + 1 - j + i)
+    others = [pk.power(pk.n + 1 - j + i) for j in s if j != i]
+    acc = pk.group.product([share.d] + others)
     denominator = pk.group.pair(acc, header.c0)
     return SessionKey(numerator / denominator)
 

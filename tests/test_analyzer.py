@@ -3,6 +3,7 @@ import pytest
 import oracles
 from bgwkem import CurveParams, ParameterError, make_curve_group
 from bgwkem.analyzer import (
+    MAX_WORKING_BITS,
     REFERENCE_WORKING_BITS,
     embedding_degree,
     security_report,
@@ -50,6 +51,20 @@ def test_k_max_bound():
     assert embedding_degree(7, 5, k_max=4) == 4
     with pytest.raises(ParameterError):
         embedding_degree(7, 5, k_max=3)
+
+
+def test_report_bounds_the_working_size():
+    # k = 1018 at q = 2^127 - 1 is 129 286 bits, inside the bound
+    assert security_report(2**127 - 1, 1019).working_bits <= MAX_WORKING_BITS
+    # k = p - 1 = 400086 at a 2-bit q would be 800 172 bits
+    assert embedding_degree(3, 400087) == 400086
+    with pytest.raises(ParameterError):
+        security_report(3, 400087)
+    with pytest.raises(ParameterError):
+        security_report(3, 400087, k_max=400086)
+    assert security_report(59, 5, k_max=2).k == 2
+    with pytest.raises(ParameterError):
+        security_report(59, 5, k_max=1)
 
 
 def test_report_small_case():

@@ -229,6 +229,15 @@ def test_analyze_prints_a_witness_past_the_int_str_limit(capsys):
     assert out[-1] == "reaches_reference_working_size=true"
 
 
+def test_analyze_refuses_a_working_size_past_the_limit(capsys):
+    # 3 has order p - 1 = 400086 mod p, so k * 2 bits passes 2^18 bits:
+    # refused before the search runs to k or a witness is built
+    assert run("analyze", "--q", 3, "--p", 400087) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "131072" in captured.err
+
+
 def test_analyze_rejects_composites(capsys):
     assert run("analyze", "--q", 10, "--p", 5) == 2
     assert run("analyze", "--q", 11, "--p", 9) == 2

@@ -7,11 +7,14 @@ Fermat inversions and a Miller loop that divides by every vertical before
 the full (q^2 - 1)/p power. Both must agree bit for bit.
 """
 
+import itertools
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from bgwkem import CurveParams, DecodeError, make_curve_group
+from bgwkem import CurveParams, DecodeError, UsageError, make_curve_group, make_mock_group
 
 LADDER_Q = {
     "q16": 32971,
@@ -136,3 +139,74 @@ def test_decode_gt_rejects_norm_one_values_outside_mu_p():
     for a, b in outside:
         with pytest.raises(DecodeError):
             group.decode_gt(bytes([a, b]))
+
+
+def _fold_ec_add(points, q):
+    return reduce(lambda P, Q: oracles.ec_add(P, Q, q), points)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_product_matches_oracle_fold(curve, data):
+    # the pool makes the identity, P next to -P and repeated points common
+    q, p = curve.q, curve.order
+    a = data.draw(st.integers(1, p - 1), label="a")
+    pool = [0, a, p - a, data.draw(st.integers(0, p - 1), label="b")]
+    exponents = data.draw(
+        st.lists(st.one_of(st.sampled_from(pool), st.integers(0, p - 1)),
+                 min_size=1, max_size=8),
+        label="exponents",
+    )
+    g = curve.generator()
+    elements = [g ** k for k in exponents]
+    expected = _fold_ec_add([x.value for x in elements], q)
+    assert curve.product(elements).value == expected
+
+
+@pytest.mark.parametrize("q, p", TINY_CURVES)
+def test_product_exhaustive_on_short_lists(q, p):
+    group = make_curve_group(CurveParams(q=q, p=p))
+    elements = [group.generator() ** k for k in range(p)]
+    for size in (1, 2, 3):
+        for operands in itertools.product(elements, repeat=size):
+            expected = _fold_ec_add([x.value for x in operands], q)
+            assert group.product(list(operands)).value == expected, operands
+
+
+@settings(max_examples=25)
+@given(traces=st.lists(st.integers(0, 100), min_size=1, max_size=8))
+def test_mock_product_is_the_trace_sum(traces):
+    group = make_mock_group(101)
+    elements = [group.generator() ** t for t in traces]
+    assert group.product(elements).value == sum(traces) % 101
+
+
+@pytest.mark.parametrize("q, p", TINY_CURVES)
+def test_generator_exp_matches_oracle_over_two_periods(q, p):
+    group = make_curve_group(CurveParams(q=q, p=p))
+    g = group.generator()
+    for k in range(-p, 2 * p):
+        assert group.exp(g, k).value == oracles.ec_mul(k, g.value, q), k
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_generator_exp_matches_oracle(curve, data):
+    p = curve.order
+    k = data.draw(st.integers(-3 * p, 3 * p), label="k")
+    g = curve.generator()
+    assert curve.exp(g, k).value == oracles.ec_mul(k, g.value, curve.q)
+
+
+@pytest.mark.parametrize(
+    "group", [make_mock_group(101), make_curve_group(CurveParams(q=59, p=5))],
+    ids=["mock", "curve"],
+)
+def test_product_refuses_empty_and_gt_operands(group):
+    g = group.generator()
+    gt = group.pair(g, g)
+    with pytest.raises(UsageError):
+        group.product([])
+    for operands in ([gt], [g, gt], [gt, g], [g, g, gt]):
+        with pytest.raises(UsageError):
+            group.product(operands)

@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
 from bgwkem import (
     CurveParams,
+    GTElement,
     MembershipError,
     ParameterError,
     PrivateKeyShare,
@@ -18,6 +20,7 @@ from bgwkem import (
     encode_header,
     decode_header,
     make_curve_group,
+    make_mock_group,
     setup,
     verify_share,
 )
@@ -249,3 +252,74 @@ class TestHeaderEncoding:
                     header, _ = encaps(subset, pk, rng)
                     sizes.add(len(encode_header(mock101, header)))
         assert len(sizes) == 1
+
+
+class CallCounter:
+    """Counts the group operations a protocol call makes, by wrapping the
+    public methods of one group instance (as benchmarks/tracing.py does).
+
+    Only outermost calls count, so the muls inside a folded product or a
+    division are not counted again. Each call is keyed by its method and
+    what the cost formulas distinguish: the kind of an exp's or a div's
+    operand, whether a G exp's base is g, and the length of a product.
+    """
+
+    def __init__(self, group):
+        self.calls = Counter()
+        self._depth = 0
+        self._g = group.generator()
+        for name in ("pair", "exp", "mul", "inverse", "div", "product"):
+            setattr(group, name, self._wrap(name, getattr(group, name)))
+
+    def _key(self, name, args):
+        if name == "product":
+            return (name, len(args[0]))
+        if name == "pair":
+            return (name,)
+        kind = "GT" if isinstance(args[0], GTElement) else "G"
+        if name == "exp" and kind == "G":
+            return (name, kind, "base g" if args[0] == self._g else "other base")
+        return (name, kind)
+
+    def _wrap(self, name, method):
+        def counted(*args):
+            if self._depth == 0:
+                self.calls[self._key(name, args)] += 1
+            self._depth += 1
+            try:
+                return method(*args)
+            finally:
+                self._depth -= 1
+        return counted
+
+    def take(self):
+        calls, self.calls = self.calls, Counter()
+        return calls
+
+
+@pytest.mark.parametrize(
+    "group", [make_mock_group(101), make_curve_group(CurveParams(q=103, p=13))],
+    ids=["mock", "curve"],
+)
+def test_cost_formulas(group):
+    counter = CallCounter(group)
+    n = 5
+    rng = random.Random(4)
+    pk, shares = setup(n, group, rng)
+    assert counter.take() == {("exp", "G", "base g"): 3 * n + 1}
+    for s in ([2], [1, 4], [1, 2, 3, 4, 5]):
+        header, key = encaps(s, pk, rng)
+        assert counter.take() == {
+            ("pair",): 1,
+            ("exp", "G", "other base"): 1,
+            ("exp", "G", "base g"): 1,
+            ("exp", "GT"): 1,
+            ("product", len(s) + 1): 1,
+        }
+        for i in s:
+            assert decaps(s, i, shares[i - 1], header, pk) == key
+            assert counter.take() == {
+                ("pair",): 2,
+                ("product", len(s)): 1,
+                ("div", "GT"): 1,
+            }
