@@ -62,14 +62,22 @@ def embedding_degree(q: int, p: int, k_max: int | None = None) -> int:
     k_max defaults to p - 1, which always suffices because the order of
     q mod p divides p - 1.
     """
+    if k_max is None:
+        k_max = p - 1
+    k = _search_degree(q, p, k_max)
+    if k is None:
+        raise ParameterError(f"no embedding degree found up to k_max = {k_max}")
+    return k
+
+
+def _search_degree(q: int, p: int, k_max: int) -> int | None:
+    """embedding_degree's search: its k if k <= k_max, else None."""
     if not is_prime(q):
         raise ParameterError(f"q = {q} is not prime")
     if not is_prime(p):
         raise ParameterError(f"p = {p} is not prime")
     if p == q:
         raise ParameterError("q and p must be distinct primes")
-    if k_max is None:
-        k_max = p - 1
     if k_max < 1:
         raise ParameterError(f"k_max must be at least 1, got {k_max}")
     acc = q % p
@@ -77,19 +85,30 @@ def embedding_degree(q: int, p: int, k_max: int | None = None) -> int:
         if acc == 1:
             return k
         acc = acc * q % p
-    raise ParameterError(f"no embedding degree found up to k_max = {k_max}")
+    return None
 
 
 def security_report(q: int, p: int, k_max: int | None = None) -> ParamReport:
     """Full report: embedding degree, input size, and working size.
 
     The search stops where the working size would pass MAX_WORKING_BITS,
-    so a larger k raises ParameterError like one beyond k_max.
+    and a k beyond that raises ParameterError naming the limit, as a k
+    beyond k_max raises embedding_degree's.
     """
     base_bits = q.bit_length()
     if k_max is None:
         k_max = p - 1
-    k = embedding_degree(q, p, min(k_max, MAX_WORKING_BITS // base_bits))
+    limit = MAX_WORKING_BITS // base_bits
+    if k_max <= limit:
+        k = embedding_degree(q, p, k_max)
+    else:
+        k = _search_degree(q, p, limit)
+        if k is None:
+            raise ParameterError(
+                f"the working-size limit MAX_WORKING_BITS = {MAX_WORKING_BITS} "
+                f"bits stopped the search: no embedding degree up to k = {limit} "
+                f"for a {base_bits}-bit q"
+            )
     working_bits = k * base_bits
     return ParamReport(
         q=q,

@@ -31,7 +31,7 @@ from .fileformats import (
 )
 from .groups import make_group
 from .hybrid import BroadcastCiphertext, open_bytes, seal_bytes
-from .kem import RecipientSet, decaps, encaps, encode_header, setup
+from .kem import RecipientSet, decaps, encaps, encode_header, setup, verify_share
 
 SEED_ENV_VAR = "BGW_SEED"
 
@@ -60,6 +60,10 @@ def _matching_share(pk_path, sk_path):
     group, n, share = read_share(sk_path)
     if group != pk.group or n != pk.n:
         raise UsageError("share file does not match the public key parameters")
+    # a share from another setup with the same parameters would otherwise
+    # decapsulate to a wrong key without any error
+    if not verify_share(pk, share):
+        raise UsageError("share file does not match the public key")
     return pk, share
 
 

@@ -14,8 +14,11 @@ with ``_exponent``: backends only compute, so both refuse misuse alike.
 
 Elements support ``*``, ``/`` and ``**`` so protocol formulas read like the
 algebra they implement. Groups and elements are immutable after
-construction and safe to share across threads; no randomness is consumed
-anywhere in this package.
+construction, except for one backend-private cache in each element (and,
+on the curve, the group's generator table), filled on first use and never
+part of equality, hashing, repr or encoding. Both are safe to share across
+threads: two threads that race to fill a cache only compute the same value
+twice. No randomness is consumed anywhere in this package.
 """
 
 from abc import ABC, abstractmethod
@@ -26,11 +29,13 @@ from ..errors import UsageError
 
 
 class _Element:
-    __slots__ = ("group", "value")
+    # _cache is the backend's to fill from value, once, on first use
+    __slots__ = ("group", "value", "_cache")
 
     def __init__(self, group: "BilinearGroup", value):
         self.group = group
         self.value = value
+        self._cache = None
 
     def __mul__(self, other):
         return self.group.mul(self, other)

@@ -22,6 +22,18 @@ lines (their values at phi(Q) lie in F_q*), which are therefore dropped
 (Barreto-Kim-Lynn-Scott, CRYPTO 2002). None of the remaining lines vanishes
 at phi(Q): its imaginary part is a nonzero multiple of y_Q.
 
+The loop runs in two steps, a fixed-argument pairing (Scott, Pairing 2007;
+Costello-Stebila, LATINCRYPT 2010). Every scaled line is
+(A - B*x_t) + (C*y_t)*i at phi(Q) = (x_t, y_t*i), where (A, B, C) depend on
+P alone; _lines walks R and returns them as P's line chain, and _evaluate
+accumulates f from the chain at phi(Q). pair keeps the chain in the cache
+slot of P's element, so it lives exactly as long as the element, and every
+later pairing with that element as first argument skips all of R's point
+arithmetic.
+The protocol pairs long-lived public-key points first (g_n in encaps, g_i
+in decaps), so those are the elements that keep chains: about 26 KiB each
+at q of 160 bits.
+
 The final exponentiation uses the Frobenius: f^q = conj(f) in F_{q^2}, so
 f^(q-1) = conj(f) / f, which is then raised to the small cofactor (q+1)/p.
 Every GT element has norm 1, so its inverse is its conjugate.
@@ -30,10 +42,10 @@ Every G operation runs in Jacobian coordinates through one doubling and
 one mixed addition (Cohen-Miyaji-Ono, ASIACRYPT 1998), and inverts once, in
 _to_affine. mul, product and exp of the generator are one Jacobian sum of
 affine points (_sum): product adds all its operands before that single
-inversion, and g^k adds the entries [2^i]g of a doubling table, built once
-per group, for the set bits of k. exp of any other base and the subgroup
-check of decode_g double and add in _pt_mul. The Miller loop moves R with
-the same two step functions and builds its lines from the values they
+inversion, and g^k adds the entries [2^i]g of a doubling table, built on
+the group's first g^k, for the set bits of k. exp of any other base and
+the subgroup check of decode_g double and add in _pt_mul. _lines moves R
+with the same two step functions and builds its lines from the values they
 return.
 
 Points are affine (x, y) tuples with None for infinity; Jacobian triples
@@ -100,11 +112,15 @@ class CurveGroup(BilinearGroup):
         self._cofactor = params.cofactor
         self._qwidth = (self.q.bit_length() + 7) // 8
         self._gen = self._find_generator()
-        # [2^i]g for every bit an exponent mod p can have
-        self._gen_table = [self._gen]
-        for _ in range(self.order.bit_length() - 1):
-            P = self._gen_table[-1]
-            self._gen_table.append(self._sum((P, P)))
+        self._gen_table = None  # filled by _generator_table
+        # per line of a chain: whether f is squared before it, which holds
+        # for each bit's tangent and not for a set bit's chord
+        squarings = []
+        for bit in bin(self.order)[3:]:
+            squarings.append(True)
+            if bit == "1":
+                squarings.append(False)
+        self._squarings = tuple(squarings)
 
     # -- F_q and F_{q^2} helpers ---------------------------------------
 
@@ -209,6 +225,17 @@ class CurveGroup(BilinearGroup):
                 X, Y, Z, _ = self._jac_add_affine(X, Y, Z, xp, yp)
         return self._to_affine(X, Y, Z)
 
+    def _generator_table(self):
+        """[2^i]g for i < p.bit_length(), built on the first call."""
+        table = self._gen_table
+        if table is None:
+            table = [self._gen]
+            for _ in range(self.order.bit_length() - 1):
+                P = table[-1]
+                table.append(self._sum((P, P)))
+            self._gen_table = table
+        return table
+
     def _find_generator(self):
         """First cofactor-cleared point of exact order p, scanning x upward."""
         q = self.q
@@ -228,38 +255,50 @@ class CurveGroup(BilinearGroup):
 
     # -- pairing ----------------------------------------------------------
 
-    def _miller(self, P, Q):
-        """f_{p,P}(phi(Q)) times some factor in F_q*, for P, Q of order p.
+    def _lines(self, P):
+        """P's line chain, for P of order p: (A, B, C) per line, flattened.
 
-        Lines are scaled by F_q* factors and verticals dropped, both of
-        which the final exponentiation sends to 1 (see the module notes).
+        The line at phi(Q) = (x_t, y_t*i) is (A - B*x_t) + (C*y_t)*i, scaled
+        by a factor in F_q*, with verticals dropped; the final
+        exponentiation sends both to 1 (see the module notes). The tuple
+        holds ints only, so the garbage collector untracks it on its first
+        pass over it.
         """
         q = self.q
         xp, yp = P
-        xt = -Q[0] % q
-        yt = Q[1]
-        a, b = 1, 0  # f = a + b*i
+        lines = []
         X, Y, Z = xp, yp, 1
         for bit in bin(self.order)[3:]:
             # tangent at R, times 2*Y*Z^3:
-            # (M*(X - xt*Z^2) - 2*Y^2) + (Z' * Z^2 * yt)*i, Z' = 2*Y*Z
+            # (M*X - 2*Y^2 - M*Z^2*x_t) + (Z' * Z^2 * y_t)*i, Z' = 2*Y*Z
             X3, Y, Z, M, YY, ZZ = self._jac_double(X, Y, Z)
-            l0 = (M * (X - xt * ZZ) - 2 * YY) % q
-            l1 = Z * ZZ % q * yt % q
+            lines += ((M * X - 2 * YY) % q, M * ZZ % q, Z * ZZ % q)
             X = X3
-            a, b = (a + b) * (a - b) % q, 2 * a * b % q
-            a, b = (a * l0 - b * l1) % q, (a * l1 + b * l0) % q
             if bit == "1":
                 # chord through R and P, times Z' = Z*H:
-                # (-yp*Z' - r*(xt - xp)) + (Z' * yt)*i
+                # (r*x_P - y_P*Z' - r*x_t) + (Z' * y_t)*i
                 X, Y, Z, r = self._jac_add_affine(X, Y, Z, xp, yp)
                 if Z == 0:
                     # R = -P, which happens only at the last bit: the line is
-                    # vertical and R + P = O, so the loop is done
+                    # vertical and R + P = O, so the chain is complete
                     break
-                l0 = (-yp * Z - r * (xt - xp)) % q
-                l1 = Z * yt % q
-                a, b = (a * l0 - b * l1) % q, (a * l1 + b * l0) % q
+                lines += ((r * xp - yp * Z) % q, r, Z)
+        return tuple(lines)
+
+    def _evaluate(self, lines, Q):
+        """f_{p,P}(phi(Q)) times some factor in F_q*, from P's line chain."""
+        q = self.q
+        xt = -Q[0] % q
+        yt = Q[1]
+        a, b = 1, 0  # f = a + b*i
+        it = iter(lines)
+        # zip stops with the chain, which has no chord for the last bit
+        for square, A, B, C in zip(self._squarings, it, it, it):
+            if square:
+                a, b = (a + b) * (a - b) % q, 2 * a * b % q
+            l0 = (A - B * xt) % q
+            l1 = C * yt % q
+            a, b = (a * l0 - b * l1) % q, (a * l1 + b * l0) % q
         return a, b
 
     def _final_power(self, f):
@@ -308,7 +347,8 @@ class CurveGroup(BilinearGroup):
         if kind is GTElement:
             return GTElement(self, self._f2pow(x.value, k))
         if x.value == self._gen:
-            terms = [self._gen_table[i] for i in range(k.bit_length()) if k >> i & 1]
+            table = self._generator_table()
+            terms = [table[i] for i in range(k.bit_length()) if k >> i & 1]
             return GElement(self, self._sum(terms))
         return GElement(self, self._pt_mul(k, x.value))
 
@@ -316,7 +356,10 @@ class CurveGroup(BilinearGroup):
         self._claim(p, q, GElement)
         if p.value is None or q.value is None:
             return self.identity_gt()
-        f = self._miller(p.value, q.value)
+        lines = p._cache
+        if lines is None:
+            lines = p._cache = self._lines(p.value)
+        f = self._evaluate(lines, q.value)
         return GTElement(self, self._final_power(f))
 
     # -- serialization ---------------------------------------------------

@@ -67,6 +67,19 @@ def test_report_bounds_the_working_size():
         security_report(59, 5, k_max=1)
 
 
+def test_report_names_the_limit_that_stopped_the_search():
+    for k_max in (None, 400086):
+        with pytest.raises(ParameterError, match="MAX_WORKING_BITS") as info:
+            security_report(3, 400087, k_max=k_max)
+        assert "k = 131072" in str(info.value)
+        assert "k_max" not in str(info.value)
+    # below the limit, a k_max the caller gave is what stops the search
+    with pytest.raises(ParameterError, match="k_max = 1$"):
+        security_report(59, 5, k_max=1)
+    with pytest.raises(ParameterError, match="not prime"):
+        security_report(4, 400087)
+
+
 def test_report_small_case():
     report = security_report(59, 5)
     assert report.k == 2

@@ -148,6 +148,58 @@ def test_open_by_non_recipient_exits_3(keys, tmp_path):
                "--sk", keys / "user_2.sk", "--in", ct, "--out", tmp_path / "o") == 3
 
 
+BACKEND_FLAGS = {
+    "mock": ["--backend", "mock", "--p", 101],
+    "curve": ["--backend", "curve", "--q", 103, "--p", 13],
+}
+
+
+@pytest.fixture(params=sorted(BACKEND_FLAGS))
+def two_setups(request, tmp_path):
+    """Key directories of two setups with equal parameters and n = 3."""
+    dirs = []
+    for seed in (1, 2):
+        outdir = tmp_path / f"keys{seed}"
+        assert run("setup", "--users", 3, *BACKEND_FLAGS[request.param],
+                   "--seed", seed, "--out", outdir) == 0
+        dirs.append(outdir)
+    return dirs
+
+
+def test_decaps_refuses_a_share_of_another_setup(two_setups, tmp_path, capsys):
+    # same group and n, so only the pairing check tells the share apart
+    own, other = two_setups
+    hdr, keyfile = tmp_path / "hdr", tmp_path / "key"
+    assert run("encaps", "--pk", own / "pk.bgw", "--set", "1,2", "--seed", 3,
+               "--hdr-out", hdr, "--key-out", keyfile) == 0
+    capsys.readouterr()
+    assert run("decaps", "--pk", own / "pk.bgw", "--sk", other / "user_1.sk",
+               "--hdr", hdr) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: share file does not match the public key\n"
+    assert run("decaps", "--pk", own / "pk.bgw", "--sk", own / "user_1.sk",
+               "--hdr", hdr) == 0
+    assert capsys.readouterr().out == keyfile.read_text()
+
+
+def test_open_refuses_a_share_of_another_setup(two_setups, tmp_path, capsys):
+    own, other = two_setups
+    infile, ct, out = tmp_path / "msg", tmp_path / "msg.ct", tmp_path / "msg.out"
+    infile.write_bytes(b"for the first setup only")
+    assert run("seal", "--pk", own / "pk.bgw", "--set", "1,2",
+               "--in", infile, "--out", ct, "--seed", 4) == 0
+    capsys.readouterr()
+    assert run("open", "--pk", own / "pk.bgw", "--set", "1,2",
+               "--sk", other / "user_2.sk", "--in", ct, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        "error: share file does not match the public key\n"
+    assert not out.exists()
+    assert run("open", "--pk", own / "pk.bgw", "--set", "1,2",
+               "--sk", own / "user_2.sk", "--in", ct, "--out", out) == 0
+    assert out.read_bytes() == infile.read_bytes()
+
+
 def test_simulate_matrix(capsys):
     assert run("simulate", "--users", 4, "--set", "1,3", "--p", 101,
                "--seed", 5) == 0
@@ -236,6 +288,9 @@ def test_analyze_refuses_a_working_size_past_the_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "131072" in captured.err
+    # the limit stopped the search, not a k_max the user never gave
+    assert "MAX_WORKING_BITS = 262144 bits" in captured.err
+    assert "k_max" not in captured.err
 
 
 def test_analyze_rejects_composites(capsys):

@@ -210,3 +210,92 @@ def test_product_refuses_empty_and_gt_operands(group):
     for operands in ([gt], [g, gt], [gt, g], [g, g, gt]):
         with pytest.raises(UsageError):
             group.product(operands)
+
+
+# -- fixed-argument pairing: the line chain an element keeps ------------
+
+@pytest.mark.parametrize("q, p", TINY_CURVES)
+def test_pair_exhaustive_on_g(q, p):
+    # each first argument builds its chain once and is then evaluated at
+    # every element of G, the identity included
+    group = make_curve_group(CurveParams(q=q, p=p))
+    elements = [group.generator() ** k for k in range(p)]
+    for P in elements:
+        for Q in elements:
+            expected = oracles.tate_pairing(P.value, Q.value, q, p)
+            assert group.pair(P, Q).value == expected, (P, Q)
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_stored_chain_pairs_like_the_oracle(curve, data):
+    q, p = curve.q, curve.order
+    g = curve.generator()
+    P = g ** data.draw(st.integers(1, p - 1), label="a")
+    exponents = data.draw(st.lists(st.integers(1, p - 1), min_size=2, max_size=3),
+                          label="b")
+    for b in exponents:
+        Q = g ** b
+        assert curve.pair(P, Q).value == oracles.tate_pairing(P.value, Q.value, q, p)
+    assert P._cache is not None
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_alternating_first_arguments_keep_their_own_chains(curve, data):
+    q, p = curve.q, curve.order
+    g = curve.generator()
+    a1 = data.draw(st.integers(1, p - 1), label="a1")
+    a2 = data.draw(st.integers(1, p - 1).filter(lambda a: a != a1), label="a2")
+    firsts = (g ** a1, g ** a2)
+    Q = g ** data.draw(st.integers(1, p - 1), label="b")
+    R = g ** data.draw(st.integers(1, p - 1), label="c")
+    for first, second in ((0, Q), (1, Q), (0, R), (1, R)):
+        P = firsts[first]
+        expected = oracles.tate_pairing(P.value, second.value, q, p)
+        assert curve.pair(P, second).value == expected, first
+
+
+def test_chain_stored_through_one_group_serves_an_equal_group():
+    q = LADDER_Q["q64"]
+    first = make_curve_group(CurveParams(q=q, p=(q + 1) // 4))
+    second = make_curve_group(CurveParams(q=q, p=(q + 1) // 4))
+    assert first is not second and first == second
+    g = first.generator()
+    P, Q = g ** 12345, g ** 678
+    value = first.pair(P, Q)
+    chain = P._cache
+    assert chain is not None
+    assert second.pair(P, Q) == value
+    assert P._cache is chain
+    assert value.value == oracles.tate_pairing(P.value, Q.value, q, first.order)
+
+
+def test_identity_operands_pair_to_the_identity(curve):
+    g, one = curve.generator(), curve.identity_gt()
+    identity = curve.identity_g()
+    curve.pair(g, g)
+    assert g._cache is not None
+    assert curve.pair(g, identity) == one
+    assert curve.pair(identity, g) == one
+    assert curve.pair(identity, identity) == one
+    assert identity._cache is None
+
+
+def test_stored_chain_is_invisible_to_equality_hash_repr_and_encode(curve):
+    g = curve.generator()
+    P, twin = g ** 3, g ** 3
+    seen = (hash(P), repr(P), curve.encode(P))
+    curve.pair(P, g)
+    assert P._cache is not None and twin._cache is None
+    assert P == twin and hash(P) == hash(twin)
+    assert (hash(P), repr(P), curve.encode(P)) == seen
+    assert (repr(twin), curve.encode(twin)) == seen[1:]
+    assert len({P, twin}) == 1
+
+
+def test_mock_pair_leaves_the_cache_slot_empty():
+    group = make_mock_group(101)
+    P = group.generator() ** 3
+    group.pair(P, P)
+    assert P._cache is None
