@@ -7,13 +7,18 @@ are sized by the base field, all pairing arithmetic runs k times wider.
 The report makes that gap explicit and flags when the working size reaches
 the classic 1024-bit scale that a 160-bit-input design actually implies at
 the 80-bit security level.
+
+Both public functions first check that q and p are distinct primes, then
+find k with primes.order_up_to: embedding_degree searches up to p - 1,
+which always succeeds, and security_report only up to the k whose working
+size reaches MAX_WORKING_BITS.
 """
 
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import ParameterError
-from .primes import is_prime
+from .primes import is_prime, order_up_to
 
 # The classic 80-bit-security sizing: 160-bit pairing-group inputs paired
 # into a field whose size must compare to 1024-bit discrete-log moduli.
@@ -56,59 +61,40 @@ def decimal_string(n: int) -> str:
     return str(Decimal(n))
 
 
-def embedding_degree(q: int, p: int, k_max: int | None = None) -> int:
-    """Smallest k with p | q^k - 1, searched by iterating powers of q mod p.
-
-    k_max defaults to p - 1, which always suffices because the order of
-    q mod p divides p - 1.
-    """
-    if k_max is None:
-        k_max = p - 1
-    k = _search_degree(q, p, k_max)
-    if k is None:
-        raise ParameterError(f"no embedding degree found up to k_max = {k_max}")
-    return k
-
-
-def _search_degree(q: int, p: int, k_max: int) -> int | None:
-    """embedding_degree's search: its k if k <= k_max, else None."""
+def _check_primes(q: int, p: int) -> None:
     if not is_prime(q):
         raise ParameterError(f"q = {q} is not prime")
     if not is_prime(p):
         raise ParameterError(f"p = {p} is not prime")
     if p == q:
         raise ParameterError("q and p must be distinct primes")
-    if k_max < 1:
-        raise ParameterError(f"k_max must be at least 1, got {k_max}")
-    acc = q % p
-    for k in range(1, k_max + 1):
-        if acc == 1:
-            return k
-        acc = acc * q % p
-    return None
 
 
-def security_report(q: int, p: int, k_max: int | None = None) -> ParamReport:
+def embedding_degree(q: int, p: int) -> int:
+    """Smallest k >= 1 with p | q^k - 1: the multiplicative order of q mod p.
+
+    The search always ends, because that order divides p - 1.
+    """
+    _check_primes(q, p)
+    return order_up_to(q, p, p - 1)
+
+
+def security_report(q: int, p: int) -> ParamReport:
     """Full report: embedding degree, input size, and working size.
 
     The search stops where the working size would pass MAX_WORKING_BITS,
-    and a k beyond that raises ParameterError naming the limit, as a k
-    beyond k_max raises embedding_degree's.
+    and a k beyond that raises ParameterError naming the limit.
     """
+    _check_primes(q, p)
     base_bits = q.bit_length()
-    if k_max is None:
-        k_max = p - 1
     limit = MAX_WORKING_BITS // base_bits
-    if k_max <= limit:
-        k = embedding_degree(q, p, k_max)
-    else:
-        k = _search_degree(q, p, limit)
-        if k is None:
-            raise ParameterError(
-                f"the working-size limit MAX_WORKING_BITS = {MAX_WORKING_BITS} "
-                f"bits stopped the search: no embedding degree up to k = {limit} "
-                f"for a {base_bits}-bit q"
-            )
+    k = order_up_to(q, p, limit)
+    if k is None:
+        raise ParameterError(
+            f"the working-size limit MAX_WORKING_BITS = {MAX_WORKING_BITS} "
+            f"bits stopped the search: no embedding degree up to k = {limit} "
+            f"for a {base_bits}-bit q"
+        )
     working_bits = k * base_bits
     return ParamReport(
         q=q,

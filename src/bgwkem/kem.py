@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Union
 
 from .errors import DecodeError, MembershipError, ParameterError, SetError, UsageError
 from .groups import BilinearGroup, GElement, GTElement
+from .primes import order_up_to
 
 
 class RecipientSet:
@@ -136,23 +137,13 @@ class SessionKey:
     k: GTElement
 
 
-def _order_exceeds(a: int, p: int, bound: int) -> bool:
-    """True iff the multiplicative order of a mod p is greater than bound."""
-    acc = 1
-    for _ in range(bound):
-        acc = acc * a % p
-        if acc == 1:
-            return False
-    return True
-
-
 def check_user_count(n: int, p: int) -> None:
     """Raise ParameterError unless setup can serve n users in a group of order p.
 
     setup needs an alpha whose multiplicative order mod p exceeds 2n, and
     every element of Z_p^* has order at most p - 1, hence 2n < p - 1.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParameterError(f"user count must be a positive integer, got {n!r}")
     if 2 * n >= p - 1:
         raise ParameterError(
@@ -171,7 +162,7 @@ def setup(n: int, group: BilinearGroup, rng) -> tuple[PublicKey, list[PrivateKey
     check_user_count(n, p)
 
     alpha = rng.randrange(1, p)
-    while not _order_exceeds(alpha, p, 2 * n):
+    while order_up_to(alpha, p, 2 * n) is not None:
         alpha = rng.randrange(1, p)
     # gamma must avoid alpha^(n+1), else v = g^gamma would reveal the hole
     # power and break the published-tuple invariant.

@@ -1,4 +1,5 @@
-"""Small number-theory helpers: primality testing and trial-division factoring.
+"""Small number-theory helpers: primality testing, trial-division factoring
+and a bounded multiplicative-order search.
 
 Everything here targets desk-scale inputs. The Miller-Rabin test is
 deterministic below 3.3 * 10**24 via a fixed witness set and falls back to
@@ -40,6 +41,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def order_up_to(a: int, p: int, bound: int) -> int | None:
+    """The multiplicative order of a mod p if it is at most bound, else None.
+
+    That is the smallest k in 1..bound with a^k = 1 (mod p), found in at
+    most bound multiplications. Setup redraws alpha while it has one up to
+    2n; the analyzer's embedding degree is the order of q mod p.
+    """
+    acc = 1
+    for k in range(1, bound + 1):
+        acc = acc * a % p
+        if acc == 1:
+            return k
+    return None
 
 
 def prime_factors(n: int) -> list[int]:

@@ -30,6 +30,7 @@ def test_against_naive_oracle_exhaustive():
                 continue
             k = embedding_degree(q, p)
             assert k == oracles.naive_embedding_degree(q, p)
+            assert security_report(q, p).k == k
             assert (q**k - 1) % p == 0
             for j in range(1, k):
                 assert (q**j - 1) % p != 0
@@ -43,14 +44,10 @@ def test_rejects_bad_inputs():
         embedding_degree(11, 4)
     with pytest.raises(ParameterError):
         embedding_degree(7, 7)
-    with pytest.raises(ParameterError):
-        embedding_degree(7, 5, k_max=0)
-
-
-def test_k_max_bound():
-    assert embedding_degree(7, 5, k_max=4) == 4
-    with pytest.raises(ParameterError):
-        embedding_degree(7, 5, k_max=3)
+    # checked before anything is computed from q, such as its bit length
+    for q in (0, 1, -7):
+        with pytest.raises(ParameterError, match=f"q = {q} is not prime"):
+            security_report(q, 5)
 
 
 def test_report_bounds_the_working_size():
@@ -60,22 +57,13 @@ def test_report_bounds_the_working_size():
     assert embedding_degree(3, 400087) == 400086
     with pytest.raises(ParameterError):
         security_report(3, 400087)
-    with pytest.raises(ParameterError):
-        security_report(3, 400087, k_max=400086)
-    assert security_report(59, 5, k_max=2).k == 2
-    with pytest.raises(ParameterError):
-        security_report(59, 5, k_max=1)
 
 
 def test_report_names_the_limit_that_stopped_the_search():
-    for k_max in (None, 400086):
-        with pytest.raises(ParameterError, match="MAX_WORKING_BITS") as info:
-            security_report(3, 400087, k_max=k_max)
-        assert "k = 131072" in str(info.value)
-        assert "k_max" not in str(info.value)
-    # below the limit, a k_max the caller gave is what stops the search
-    with pytest.raises(ParameterError, match="k_max = 1$"):
-        security_report(59, 5, k_max=1)
+    with pytest.raises(ParameterError, match="MAX_WORKING_BITS") as info:
+        security_report(3, 400087)
+    assert "k = 131072" in str(info.value)
+    assert "k_max" not in str(info.value)
     with pytest.raises(ParameterError, match="not prime"):
         security_report(4, 400087)
 

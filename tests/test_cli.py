@@ -5,6 +5,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bgwkem
 from bgwkem.cli import main
@@ -296,6 +297,13 @@ def test_analyze_refuses_a_working_size_past_the_limit(capsys):
 def test_analyze_rejects_composites(capsys):
     assert run("analyze", "--q", 10, "--p", 5) == 2
     assert run("analyze", "--q", 11, "--p", 9) == 2
+
+
+@settings(max_examples=50)
+@given(q=st.integers(-10, 10**4), p=st.integers(-10, 10**4))
+@example(q=0, p=5)
+def test_analyze_exits_0_or_2_on_any_integers(q, p):
+    assert run("analyze", "--q", q, "--p", p) in (0, 2)
 
 
 def test_seed_env_variable(tmp_path, monkeypatch):

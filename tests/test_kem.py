@@ -112,6 +112,8 @@ class TestSetup:
             setup(51, mock101, rng)  # 2n >= p
         with pytest.raises(ParameterError):
             setup(50, mock101, rng)  # 2n = p - 1: no usable alpha order
+        with pytest.raises(ParameterError, match="got True"):
+            setup(True, mock101, rng)  # a key file could not say n=True
 
     def test_alpha_low_order_redraw(self, mock101, scripted):
         # 100 has order 2 mod 101, so it must be rejected for n >= 1

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from bgwkem.primes import is_prime, prime_factors
+from bgwkem.primes import is_prime, order_up_to, prime_factors
+
+PRIMES_BELOW_1000 = [n for n in range(2, 1000) if is_prime(n)]
 
 
 def test_is_prime_small():
@@ -27,3 +30,13 @@ def test_prime_factors():
     assert prime_factors(2**10 * 3**4) == [2, 3]
     with pytest.raises(ValueError):
         prime_factors(0)
+
+
+@given(data=st.data())
+def test_order_up_to_matches_a_pow_scan(data):
+    p = data.draw(st.sampled_from(PRIMES_BELOW_1000))
+    # every residue class, 0 among them, with multiples of p drawn often
+    a = data.draw(st.integers(-2 * p, 2 * p) | st.integers(-3, 3).map(lambda m: m * p))
+    bound = data.draw(st.integers(0, p))
+    naive = next((k for k in range(1, bound + 1) if pow(a, k, p) == 1), None)
+    assert order_up_to(a, p, bound) == naive
