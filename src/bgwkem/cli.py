@@ -8,7 +8,6 @@ refusal, 4 authentication failure.
 """
 
 import argparse
-import functools
 import os
 import random
 import sys
@@ -166,9 +165,7 @@ def _add_seed_flag(sub) -> None:
                      help=f"RNG seed; falls back to ${SEED_ENV_VAR}")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The bgwkem parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bgwkem",
         description="Broadcast key encapsulation with desk-scale pairing backends",

@@ -44,11 +44,9 @@ def is_prime(n: int) -> bool:
 
 
 def order_up_to(a: int, p: int, bound: int) -> int | None:
-    """The multiplicative order of a mod p if it is at most bound, else None.
+    """The smallest k in 1..bound with a^k = 1 (mod p), else None.
 
-    That is the smallest k in 1..bound with a^k = 1 (mod p), found in at
-    most bound multiplications. Setup redraws alpha while it has one up to
-    2n; the analyzer's embedding degree is the order of q mod p.
+    It takes at most bound multiplications.
     """
     acc = 1
     for k in range(1, bound + 1):
