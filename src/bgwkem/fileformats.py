@@ -5,26 +5,30 @@ Key files open with a single parameter line
     BGW1 <backend params> n=<n>
 
 followed by one hex-encoded element per line. Public key files carry the
-roles g=, g<i>= (indices 1..n and n+2..2n; n+1 is structurally absent) and
-v=; share files carry exactly one d=<i>:<hex> line. Header files are
+roles g=, g<i>= (indices 1..n, then n+2..2n; n+1 is structurally absent)
+and v=, in that order; share files carry exactly one d=<i>:<hex> line.
+Header files are
 
     BGWHDR1
     C0=<hex>
     C1=<hex>
-    S=<comma-separated indices>
+    S=<comma-separated indices, ascending>
 
-Every reader is strict: non-ASCII bytes, a parameter line spelled other
-than the writer spells it, unknown prefixes, missing or duplicated roles,
-numbers that are not canonical decimals (no sign, no underscore, no
-leading zero), hex that is not lowercase and unspaced, a user count beyond
-setup's bound, and non-canonical element bytes are all rejected. What a
-reader allocates grows with the size of the file it reads, never with a
-number read from it.
+Each file has one spelling, the one its writer writes: the writer's lines
+in the writer's order, each ended by "\\n", no blank line, S= ascending.
+Readers accept nothing else, so non-ASCII bytes, CRLF line ends, blank,
+missing, repeated, reordered or unknown lines, a parameter line spelled
+other than the writer spells it, numbers that are not canonical decimals
+(no sign, no underscore, no leading zero), hex that is not lowercase and
+unspaced, a user count beyond setup's bound, and non-canonical element
+bytes are all rejected. What a reader allocates grows with the size of
+the file it reads, never with a number read from it.
 """
 
+from itertools import chain, zip_longest
 from pathlib import Path
 
-from .errors import DecodeError, ParameterError
+from .errors import DecodeError, ParameterError, SetError
 from .groups import BilinearGroup, make_group
 from .kem import Header, PrivateKeyShare, PublicKey, RecipientSet, check_user_count
 
@@ -32,11 +36,22 @@ KEY_MAGIC = "BGW1"
 HEADER_MAGIC = "BGWHDR1"
 
 
-def _read_ascii_lines(path) -> list[str]:
+def _write_lines(path, lines: list[str]) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of an ASCII file in which each line, none empty, ends in "\\n"."""
     try:
-        return Path(path).read_bytes().decode("ascii").splitlines()
+        text = Path(path).read_bytes().decode("ascii")
     except UnicodeDecodeError:
         raise DecodeError(f"{path} is not an ASCII text file") from None
+    if not text.endswith("\n"):
+        raise DecodeError(f"{path} is empty or lacks its final newline")
+    lines = text[:-1].split("\n")
+    if "" in lines:
+        raise DecodeError(f"{path} contains an empty line")
+    return lines
 
 
 def _decimal(text: str, what: str) -> int:
@@ -88,11 +103,12 @@ def _parse_params_line(line: str) -> tuple[BilinearGroup, int]:
     return group, n
 
 
-def _key_file_lines(path) -> list[str]:
-    lines = _read_ascii_lines(path)
-    if not lines:
-        raise DecodeError("empty key file")
-    return lines
+def _public_key_roles(n: int):
+    """The writer's (role, key) order: g, g1..gn, g(n+2)..g2n, v."""
+    yield "g", "g"
+    for i in chain(range(1, n + 1), range(n + 2, 2 * n + 1)):
+        yield f"g{i}", i
+    yield "v", "v"
 
 
 def write_public_key(path, pk: PublicKey) -> None:
@@ -101,98 +117,80 @@ def write_public_key(path, pk: PublicKey) -> None:
     for i in sorted(pk.powers):
         lines.append(f"g{i}={pk.group.encode(pk.powers[i]).hex()}")
     lines.append(f"v={pk.group.encode(pk.v).hex()}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_public_key(path) -> PublicKey:
-    lines = _key_file_lines(path)
+    lines = _read_lines(path)
     group, n = _parse_params_line(lines[0])
-    # keys "g" and "v", and the index i of each g<i>
-    seen = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        role, sep, value = line.partition("=")
-        if not sep:
-            raise DecodeError(f"malformed key file line {line!r}")
-        if role == "g" or role == "v":
-            key = role
-        elif role.startswith("g"):
-            key = _decimal(role[1:], "public key role index")
-            if key == n + 1:
-                raise DecodeError(f"public key must not contain the hole power g{n + 1}")
-            if not 1 <= key <= 2 * n:
-                raise DecodeError(f"role {role!r} outside g1..g{2 * n} in public key file")
-        else:
-            raise DecodeError(f"unknown role prefix {role!r} in public key file")
-        if key in seen:
-            raise DecodeError(f"duplicate role {role!r} in public key file")
-        seen[key] = group.decode_g(_decode_hex(value))
-    # every key is one of the 2n + 1 roles and none repeats, so a full
-    # count means none is missing
-    if len(seen) != 2 * n + 1:
+    # counted before anything sized by n is built, so memory follows the file
+    if len(lines) < 2 * n + 2:
         raise DecodeError(
-            f"public key file is missing {2 * n + 1 - len(seen)} of its {2 * n + 1} roles"
+            f"public key file is missing {2 * n + 2 - len(lines)} of its {2 * n + 1} roles"
         )
-    g, v = seen.pop("g"), seen.pop("v")
-    return PublicKey(n=n, group=group, g=g, powers=seen, v=v)
+    elements = {}
+    # a line past the last role is compared with None, which no role equals
+    for line, (expected, key) in zip_longest(lines[1:], _public_key_roles(n),
+                                             fillvalue=(None, None)):
+        role, _, value = line.partition("=")
+        if role != expected:
+            if role == f"g{n + 1}":
+                raise DecodeError(f"public key must not contain the hole power g{n + 1}")
+            raise DecodeError(f"duplicate or misplaced role {role!r} in public key file")
+        elements[key] = group.decode_g(_decode_hex(value))
+    g, v = elements.pop("g"), elements.pop("v")
+    return PublicKey(n=n, group=group, g=g, powers=elements, v=v)
 
 
 def write_share(path, group: BilinearGroup, n: int, share: PrivateKeyShare) -> None:
-    lines = [
+    _write_lines(path, [
         _format_params_line(group, n),
         f"d={share.index}:{group.encode(share.d).hex()}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    ])
 
 
 def read_share(path) -> tuple[BilinearGroup, int, PrivateKeyShare]:
-    lines = _key_file_lines(path)
+    lines = _read_lines(path)
     group, n = _parse_params_line(lines[0])
-    share = None
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if not line.startswith("d="):
-            raise DecodeError(f"unknown role prefix in share file line {line!r}")
-        if share is not None:
-            raise DecodeError("share file contains more than one share")
-        index_text, sep, value = line[2:].partition(":")
-        if not sep:
-            raise DecodeError(f"malformed share line {line!r}")
-        index = _decimal(index_text, "share index")
-        if not 1 <= index <= n:
-            raise DecodeError(f"share index {index} outside 1..{n}")
-        share = PrivateKeyShare(index=index, d=group.decode_g(_decode_hex(value)))
-    if share is None:
-        raise DecodeError("share file contains no share")
-    return group, n, share
+    if len(lines) != 2 or not lines[1].startswith("d="):
+        raise DecodeError("a share file is its parameter line and one d=<i>:<hex> line")
+    index_text, _, value = lines[1][2:].partition(":")
+    index = _decimal(index_text, "share index")
+    if not 1 <= index <= n:
+        raise DecodeError(f"share index {index} outside 1..{n}")
+    return group, n, PrivateKeyShare(index=index, d=group.decode_g(_decode_hex(value)))
+
+
+def _recipients_line(recipients: RecipientSet) -> str:
+    return "S=" + ",".join(str(i) for i in recipients)
 
 
 def write_header_file(path, group: BilinearGroup, header: Header,
                       recipients: RecipientSet) -> None:
-    lines = [
+    _write_lines(path, [
         HEADER_MAGIC,
         f"C0={group.encode(header.c0).hex()}",
         f"C1={group.encode(header.c1).hex()}",
-        "S=" + ",".join(str(i) for i in recipients),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+        _recipients_line(recipients),
+    ])
 
 
 def read_header_file(path, group: BilinearGroup) -> tuple[Header, RecipientSet]:
-    lines = [line for line in _read_ascii_lines(path) if line.strip()]
+    lines = _read_lines(path)
     if len(lines) != 4 or lines[0] != HEADER_MAGIC:
         raise DecodeError("malformed header file")
-    values = {}
-    for line, role in zip(lines[1:], ("C0", "C1", "S")):
-        prefix = role + "="
+    values = []
+    for line, prefix in zip(lines[1:], ("C0=", "C1=", "S=")):
         if not line.startswith(prefix):
             raise DecodeError(f"expected {prefix}<...> line, got {line!r}")
-        values[role] = line[len(prefix):]
-    header = Header(
-        c0=group.decode_g(_decode_hex(values["C0"])),
-        c1=group.decode_g(_decode_hex(values["C1"])),
-    )
-    indices = [_decimal(text, "recipient index") for text in values["S"].split(",")]
-    return header, RecipientSet(indices)
+        values.append(line[len(prefix):])
+    c0, c1, indices = values
+    header = Header(c0=group.decode_g(_decode_hex(c0)), c1=group.decode_g(_decode_hex(c1)))
+    try:
+        recipients = RecipientSet.parse(indices)
+    except SetError as exc:
+        raise DecodeError(str(exc)) from None
+    # S= has one spelling: canonical decimals, ascending
+    if _recipients_line(recipients) != lines[3]:
+        raise DecodeError(f"recipient line {lines[3]!r} is not canonical and ascending")
+    return header, recipients

@@ -103,6 +103,36 @@ def test_decaps_parse_failure_exits_2(keys, tmp_path):
                "--hdr", tmp_path / "missing") == 2
 
 
+@pytest.mark.parametrize("indices", ["1,1", "0,2", "2,1"])
+def test_decaps_header_with_a_non_canonical_set_exits_2(keys, tmp_path, capsys, indices):
+    hdr = tmp_path / "hdr"
+    assert run("encaps", "--pk", keys / "pk.bgw", "--set", "1,2",
+               "--seed", 1, "--hdr-out", hdr, "--key-out", tmp_path / "k") == 0
+    hdr.write_text(hdr.read_text().replace("S=1,2", "S=" + indices))
+    capsys.readouterr()
+    assert run("decaps", "--pk", keys / "pk.bgw", "--sk", keys / "user_1.sk",
+               "--hdr", hdr) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--users", 3, "--backend", "mock", "--p", 101],  # another n
+    ["--users", 2, "--backend", "mock", "--p", 103],  # another group
+])
+def test_decaps_refuses_a_share_of_other_parameters(keys, tmp_path, capsys, flags):
+    other = tmp_path / "other"
+    assert run("setup", *flags, "--seed", 1, "--out", other) == 0
+    hdr = tmp_path / "hdr"
+    assert run("encaps", "--pk", keys / "pk.bgw", "--set", "1,2",
+               "--seed", 1, "--hdr-out", hdr, "--key-out", tmp_path / "k") == 0
+    capsys.readouterr()
+    assert run("decaps", "--pk", keys / "pk.bgw", "--sk", other / "user_1.sk",
+               "--hdr", hdr) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: share file does not match the public key parameters\n"
+
+
 def test_encaps_bad_set_exits_2(keys, tmp_path):
     assert run("encaps", "--pk", keys / "pk.bgw", "--set", "3",
                "--seed", 1, "--hdr-out", tmp_path / "h",

@@ -147,6 +147,9 @@ def test_decode_rejects_malformed(curve59):
         curve59.decode_gt(bytes([59, 0]))  # non-reduced GT component
     with pytest.raises(DecodeError):
         curve59.decode_gt(bytes([2, 0]))  # not in mu_5
+    for blob in (b"", b"\x01", b"\x01\x00\x00"):  # wrong length
+        with pytest.raises(DecodeError, match=f"expected 2 bytes, got {len(blob)}"):
+            curve59.decode_gt(blob)
 
 
 def test_mock_traces_predict_curve_equalities(curve59):

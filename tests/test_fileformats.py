@@ -244,7 +244,8 @@ def test_reject_non_canonical_share_line(tmp_path, old, new):
 
 @pytest.mark.parametrize("old, new", [("S=1,2", "S=+1,2"), ("S=1,2", "S=1, 2"),
                                       ("S=1,2", "S=01,2"), ("S=1,2", "S=1,2,"),
-                                      ("C0=6d", "C0=6D")])
+                                      ("C0=6d", "C0=6D"), ("S=1,2", "S=2,1"),
+                                      ("S=1,2", "S=1,1"), ("S=1,2", "S=0,2")])
 def test_reject_non_canonical_header_file(tmp_path, old, new):
     group = make_mock_group(101)
     pk, _ = setup(2, group, random.Random(3))
@@ -304,3 +305,14 @@ def test_claimed_user_count_allocates_nothing(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_reject_decimal_longer_than_int_converts(tmp_path):
+    # 5000 digits is past int()'s default limit of 4300 on string conversion
+    group = make_mock_group(101)
+    pk, shares = setup(2, group, random.Random(2))
+    path = tmp_path / "user.sk"
+    write_share(path, group, pk.n, shares[0])
+    _replace_once(path, "d=1:", f"d={'1' * 5000}:")
+    with pytest.raises(DecodeError, match="share index '1{5000}' is not a canonical decimal"):
+        read_share(path)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from bgwkem import (
     CurveParams,
+    DecodeError,
     GTElement,
     MembershipError,
     ParameterError,
@@ -88,6 +89,12 @@ class TestSetup:
         with pytest.raises(UsageError, match="hole"):
             PublicKey(n=pk.n, group=group, g=pk.g, powers=powers, v=pk.v)
 
+    def test_power_outside_the_published_range(self, worked_example):
+        _, pk, _ = worked_example
+        for i in (0, -1, 2 * pk.n + 1):
+            with pytest.raises(UsageError, match=f"power index {i} out of range for n=2"):
+                pk.power(i)
+
     def test_public_key_element_count(self, worked_example):
         _, pk, _ = worked_example
         assert 2 + len(pk.powers) == 2 * pk.n + 1
@@ -132,6 +139,8 @@ class TestSetup:
             assert verify_share(pk, share)
         forged = PrivateKeyShare(index=1, d=shares[1].d)
         assert not verify_share(pk, forged)
+        for index in (0, -1, pk.n + 1):  # no user holds these indices
+            assert not verify_share(pk, PrivateKeyShare(index=index, d=shares[0].d))
 
     def test_determinism(self, mock101):
         pk1, shares1 = setup(3, mock101, random.Random(99))
@@ -243,6 +252,13 @@ class TestHeaderEncoding:
         header, _ = encaps({1, 2}, pk, scripted([5]))
         data = encode_header(group, header)
         assert decode_header(group, data) == header
+
+    def test_decode_rejects_wrong_length(self, worked_example, scripted):
+        group, pk, _ = worked_example
+        data = encode_header(group, encaps({1, 2}, pk, scripted([5]))[0])
+        for wrong in (data[:-1], data + b"\x00", b""):
+            with pytest.raises(DecodeError, match=f"must be 4 bytes, got {len(wrong)}"):
+                decode_header(group, wrong)
 
     def test_size_independent_of_set(self, mock101):
         rng = random.Random(1)
