@@ -22,7 +22,6 @@ from .primes import is_prime, order_up_to
 
 # The classic 80-bit-security sizing: 160-bit pairing-group inputs paired
 # into a field whose size must compare to 1024-bit discrete-log moduli.
-REFERENCE_INPUT_BITS = 160
 REFERENCE_WORKING_BITS = 1024
 
 # The largest working size k * base_bits a report computes. It bounds both

@@ -2,7 +2,19 @@
 
 The CLI maps these onto stable exit codes: parameter/parse problems are
 exit 2, membership refusals exit 3, authentication failures exit 4.
+Messages quote outside input through quote, so an error about a huge
+value stays short.
 """
+
+# the most characters of a value that an error message quotes
+_QUOTE_LIMIT = 64
+
+
+def quote(value: str) -> str:
+    """repr(value), or past _QUOTE_LIMIT characters that many and the length."""
+    if len(value) <= _QUOTE_LIMIT:
+        return repr(value)
+    return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
 
 
 class BgwError(Exception):

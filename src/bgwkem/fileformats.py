@@ -28,7 +28,7 @@ the file it reads, never with a number read from it.
 from itertools import chain, zip_longest
 from pathlib import Path
 
-from .errors import DecodeError, ParameterError, SetError
+from .errors import DecodeError, ParameterError, SetError, quote
 from .groups import BilinearGroup, make_group
 from .kem import Header, PrivateKeyShare, PublicKey, RecipientSet, check_user_count
 
@@ -61,16 +61,16 @@ def _decimal(text: str, what: str) -> int:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise DecodeError(f"{what} {text!r} is not a canonical decimal")
+    raise DecodeError(f"{what} {quote(text)} is not a canonical decimal")
 
 
 def _decode_hex(value: str) -> bytes:
     try:
         data = bytes.fromhex(value)
     except ValueError:
-        raise DecodeError(f"bad hex value {value!r}") from None
+        raise DecodeError(f"bad hex value {quote(value)}") from None
     if data.hex() != value:
-        raise DecodeError(f"non-canonical hex value {value!r}")
+        raise DecodeError(f"non-canonical hex value {quote(value)}")
     return data
 
 
@@ -81,13 +81,13 @@ def _format_params_line(group: BilinearGroup, n: int) -> str:
 def _parse_params_line(line: str) -> tuple[BilinearGroup, int]:
     tokens = line.split()
     if len(tokens) < 3 or tokens[0] != KEY_MAGIC:
-        raise DecodeError(f"bad key file magic line {line!r}")
+        raise DecodeError(f"bad key file magic line {quote(line)}")
     fields = {}
     for token in tokens[2:]:
         key, sep, value = token.partition("=")
         if not sep:
-            raise DecodeError(f"bad parameter token {token!r}")
-        fields[key] = _decimal(value, f"parameter {key}")
+            raise DecodeError(f"bad parameter token {quote(token)}")
+        fields[key] = _decimal(value, f"parameter {quote(key)}")
     n = fields.pop("n", None)
     if n is None:
         raise DecodeError("key file is missing the user count")
@@ -99,7 +99,7 @@ def _parse_params_line(line: str) -> tuple[BilinearGroup, int]:
     # one spelling per (group, n): this also rejects repeated, reordered
     # and differently spaced tokens
     if line != _format_params_line(group, n):
-        raise DecodeError(f"key file parameter line {line!r} is not canonical")
+        raise DecodeError(f"key file parameter line {quote(line)} is not canonical")
     return group, n
 
 
@@ -136,7 +136,7 @@ def read_public_key(path) -> PublicKey:
         if role != expected:
             if role == f"g{n + 1}":
                 raise DecodeError(f"public key must not contain the hole power g{n + 1}")
-            raise DecodeError(f"duplicate or misplaced role {role!r} in public key file")
+            raise DecodeError(f"duplicate or misplaced role {quote(role)} in public key file")
         elements[key] = group.decode_g(_decode_hex(value))
     g, v = elements.pop("g"), elements.pop("v")
     return PublicKey(n=n, group=group, g=g, powers=elements, v=v)
@@ -182,7 +182,7 @@ def read_header_file(path, group: BilinearGroup) -> tuple[Header, RecipientSet]:
     values = []
     for line, prefix in zip(lines[1:], ("C0=", "C1=", "S=")):
         if not line.startswith(prefix):
-            raise DecodeError(f"expected {prefix}<...> line, got {line!r}")
+            raise DecodeError(f"expected {prefix}<...> line, got {quote(line)}")
         values.append(line[len(prefix):])
     c0, c1, indices = values
     header = Header(c0=group.decode_g(_decode_hex(c0)), c1=group.decode_g(_decode_hex(c1)))
@@ -192,5 +192,5 @@ def read_header_file(path, group: BilinearGroup) -> tuple[Header, RecipientSet]:
         raise DecodeError(str(exc)) from None
     # S= has one spelling: canonical decimals, ascending
     if _recipients_line(recipients) != lines[3]:
-        raise DecodeError(f"recipient line {lines[3]!r} is not canonical and ascending")
+        raise DecodeError(f"recipient line {quote(lines[3])} is not canonical and ascending")
     return header, recipients

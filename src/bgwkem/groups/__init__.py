@@ -1,6 +1,6 @@
 """Pairing group backends: an exponent-trace mock and a supersingular curve."""
 
-from ..errors import ParameterError
+from ..errors import ParameterError, quote
 from .base import BilinearGroup, GElement, GTElement
 from .curve import CurveGroup, CurveParams, make_curve_group
 from .mock import MockGroup, make_mock_group
@@ -17,11 +17,11 @@ def make_group(backend: str, /, **params) -> BilinearGroup:
     """
     names = _PARAMETER_NAMES.get(backend)
     if names is None:
-        raise ParameterError(f"unknown backend {backend!r}")
+        raise ParameterError(f"unknown backend {quote(backend)}")
     if params.keys() != set(names):
         expected = " ".join(f"{name}=<prime>" for name in names)
         raise ParameterError(
-            f"{backend} backend expects {expected}, got {sorted(params)}"
+            f"{backend} backend expects {expected}, got {quote(', '.join(sorted(params)))}"
         )
     if backend == "mock":
         return make_mock_group(params["p"])

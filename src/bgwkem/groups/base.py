@@ -15,10 +15,11 @@ with ``_exponent``: backends only compute, so both refuse misuse alike.
 Elements support ``*``, ``/`` and ``**`` so protocol formulas read like the
 algebra they implement. Groups and elements are immutable after
 construction, except for one backend-private cache in each element (and,
-on the curve, the group's generator table), filled on first use and never
-part of equality, hashing, repr or encoding. Both are safe to share across
-threads: two threads that race to fill a cache only compute the same value
-twice. No randomness is consumed anywhere in this package.
+on the curve, the group's radix-16 fixed-base table of g), filled on first
+use and never part of equality, hashing, repr or encoding. Both are safe
+to share across threads: two threads that race to fill a cache only
+compute the same value twice. No randomness is consumed anywhere in this
+package.
 """
 
 from abc import ABC, abstractmethod

@@ -36,17 +36,24 @@ at q of 160 bits.
 
 The final exponentiation uses the Frobenius: f^q = conj(f) in F_{q^2}, so
 f^(q-1) = conj(f) / f, which is then raised to the small cofactor (q+1)/p.
-Every GT element has norm 1, so its inverse is its conjugate.
+Every GT element has norm 1, so its inverse is its conjugate and it
+squares in two multiplications: (a + b*i)^2 = (2a^2 - 1) + 2ab*i.
 
 Every G operation runs in Jacobian coordinates through one doubling and
 one mixed addition (Cohen-Miyaji-Ono, ASIACRYPT 1998), and inverts once, in
 _to_affine. mul, product and exp of the generator are one Jacobian sum of
 affine points (_sum): product adds all its operands before that single
-inversion, and g^k adds the entries [2^i]g of a doubling table, built on
-the group's first g^k, for the set bits of k. exp of any other base and
-the subgroup check of decode_g double and add in _pt_mul. _lines moves R
-with the same two step functions and builds its lines from the values they
-return.
+inversion, and g^k adds one entry per nonzero base-16 digit of k from a
+radix-16 fixed-base table (Brickell-Gordon-McCurley-Wilson, EUROCRYPT
+1992). Row j of the table holds [d*16^j]g for the digits d, one row per
+base-16 digit of p, so g^k costs at most that many mixed additions (40 at
+p of 158 bits) and one inversion. The table is built on the group's first
+g^k with the same two step functions; its row bases [16^j]g, and then all
+of its entries, are normalised with one inversion each (Montgomery's
+trick, in _to_affine_all).
+exp of any other base and the subgroup check of decode_g double and add in
+_pt_mul. _lines moves R with the same two step functions and builds its
+lines from the values they return.
 
 Points are affine (x, y) tuples with None for infinity; Jacobian triples
 live only inside the G operations and the Miller loop. F_{q^2} values are
@@ -67,6 +74,10 @@ _AFFINE_TAG = 0x01
 # parameter set yields one almost immediately, so a miss this deep means
 # the parameters are wrong, not that the search was unlucky.
 _GENERATOR_SEARCH_BOUND = 10_000
+
+# A fixed-base table row holds [d * 16^j]P for every base-16 digit d.
+_RADIX_BITS = 4
+_RADIX = 1 << _RADIX_BITS
 
 
 @dataclass(frozen=True)
@@ -137,12 +148,18 @@ class CurveGroup(BilinearGroup):
         return (A[0], -A[1] % self.q)
 
     def _f2pow(self, A, e: int):
+        """A^e for e >= 0 and A of norm 1, i.e. a^2 + b^2 = 1 for A = a + b*i.
+
+        The norm lets each squaring take two multiplications,
+        (a + b*i)^2 = (2a^2 - 1) + 2ab*i; for any other A the result is wrong.
+        """
+        q = self.q
         result = (1, 0)
-        base = A
+        a, b = A
         while e > 0:
             if e & 1:
-                result = self._f2mul(result, base)
-            base = self._f2mul(base, base)
+                result = self._f2mul(result, (a, b))
+            a, b = (2 * a * a - 1) % q, 2 * a * b % q
             e >>= 1
         return result
 
@@ -205,6 +222,30 @@ class CurveGroup(BilinearGroup):
         zz = zinv * zinv % q
         return (X * zz % q, Y * zz * zinv % q)
 
+    def _to_affine_all(self, points):
+        """The affine forms of Jacobian (X, Y, Z) triples, inverting once.
+
+        Montgomery's trick: invert the product of all nonzero Z, then peel
+        each 1/Z off it from the last point back. Z = 0 gives None.
+        """
+        q = self.q
+        prefixes = []
+        product = 1
+        for _, _, Z in points:
+            prefixes.append(product)
+            if Z:
+                product = product * Z % q
+        inverse = self._finv(product)
+        affine = [None] * len(points)
+        for i in reversed(range(len(points))):
+            X, Y, Z = points[i]
+            if Z:
+                zinv = inverse * prefixes[i] % q
+                inverse = inverse * Z % q
+                zz = zinv * zinv % q
+                affine[i] = (X * zz % q, Y * zz * zinv % q)
+        return affine
+
     def _sum(self, points):
         """The affine sum of affine points (None is infinity), inverting once."""
         X, Y, Z = 1, 1, 0
@@ -225,15 +266,40 @@ class CurveGroup(BilinearGroup):
                 X, Y, Z, _ = self._jac_add_affine(X, Y, Z, xp, yp)
         return self._to_affine(X, Y, Z)
 
+    def _fixed_base_table(self, P):
+        """Rows [d * 16^j]P, 0 <= d < 16, one per base-16 digit of p.
+
+        P must have order p. Entry 0 of each row is infinity (None), so a
+        digit of the exponent indexes its row directly. The row bases
+        [16^j]P are four doublings apart; each row's other entries double an
+        entry or add the base, and one inversion normalises each of the two
+        batches.
+        """
+        rows = -(-self.order.bit_length() // _RADIX_BITS)
+        X, Y, Z = *P, 1
+        bases = [(X, Y, Z)]
+        for _ in range(rows - 1):
+            for _ in range(_RADIX_BITS):
+                X, Y, Z = self._jac_double(X, Y, Z)[:3]
+            bases.append((X, Y, Z))
+        multiples = []
+        for xb, yb in self._to_affine_all(bases):
+            row = [None, (xb, yb, 1)]
+            for d in range(2, _RADIX):
+                if d % 2:
+                    row.append(self._jac_add_affine(*row[d - 1], xb, yb)[:3])
+                else:
+                    row.append(self._jac_double(*row[d // 2])[:3])
+            multiples += row[1:]
+        points = self._to_affine_all(multiples)
+        width = _RADIX - 1
+        return [[None] + points[j * width:(j + 1) * width] for j in range(rows)]
+
     def _generator_table(self):
-        """[2^i]g for i < p.bit_length(), built on the first call."""
+        """g's fixed-base table, built on the first call."""
         table = self._gen_table
         if table is None:
-            table = [self._gen]
-            for _ in range(self.order.bit_length() - 1):
-                P = table[-1]
-                table.append(self._sum((P, P)))
-            self._gen_table = table
+            table = self._gen_table = self._fixed_base_table(self._gen)
         return table
 
     def _find_generator(self):
@@ -348,7 +414,7 @@ class CurveGroup(BilinearGroup):
             return GTElement(self, self._f2pow(x.value, k))
         if x.value == self._gen:
             table = self._generator_table()
-            terms = [table[i] for i in range(k.bit_length()) if k >> i & 1]
+            terms = [row[(k >> _RADIX_BITS * j) % _RADIX] for j, row in enumerate(table)]
             return GElement(self, self._sum(terms))
         return GElement(self, self._pt_mul(k, x.value))
 
@@ -405,7 +471,8 @@ class CurveGroup(BilinearGroup):
         b = int.from_bytes(data[self._qwidth :], "big")
         if a >= self.q or b >= self.q:
             raise DecodeError("component not reduced mod q")
-        if self._f2pow((a, b), self.order) != (1, 0):
+        # mu_p lies in the norm-1 group, and _f2pow needs norm 1
+        if (a * a + b * b) % self.q != 1 or self._f2pow((a, b), self.order) != (1, 0):
             raise DecodeError(f"value is not in the order-{self.order} subgroup")
         return GTElement(self, (a, b))
 

@@ -36,10 +36,6 @@ class MockGroup(BilinearGroup):
     def identity_gt(self) -> GTElement:
         return GTElement(self, 0)
 
-    def gt_element(self, trace: int) -> GTElement:
-        """GT element with the given trace; handy for exhaustive sweeps."""
-        return GTElement(self, self._exponent(trace))
-
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, a, b):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .errors import DecodeError, MembershipError, ParameterError, SetError, UsageError
+from .errors import DecodeError, MembershipError, ParameterError, SetError, UsageError, quote
 from .groups import BilinearGroup, GElement, GTElement
 from .primes import order_up_to
 
@@ -56,7 +56,7 @@ class RecipientSet:
         try:
             indices = [int(tok) for tok in text.split(",")]
         except ValueError:
-            raise SetError(f"cannot parse recipient set {text!r}") from None
+            raise SetError(f"cannot parse recipient set {quote(text)}") from None
         return cls(indices)
 
     def check_bound(self, n: int) -> None:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from bgwkem import make_mock_group
+from bgwkem import GTElement, make_mock_group
 
 # The curve differential tests call oracles that take tens of milliseconds
 # per example at 160 bits, so a wall-clock deadline would make them flaky on
@@ -33,6 +33,11 @@ class ScriptedRng:
         data = self.byte_values.pop(0)
         assert len(data) == n
         return data
+
+
+def gt_element(group, trace):
+    """The mock GT element with the given trace; handy for exhaustive sweeps."""
+    return GTElement(group, trace % group.order)
 
 
 @pytest.fixture

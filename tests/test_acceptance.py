@@ -36,7 +36,7 @@ from bgwkem.analyzer import embedding_degree, security_report
 from bgwkem.cli import main as cli_main
 from bgwkem.fileformats import read_public_key, write_public_key
 from bgwkem.primes import is_prime
-from conftest import ScriptedRng
+from conftest import ScriptedRng, gt_element
 from test_analyzer import P512, Q512
 
 
@@ -154,7 +154,7 @@ def test_c5_hybrid_round_trip():
         pk, shares = setup(n, group, rng)
         for subset in _subsets(n):
             for m in range(101):
-                message = group.gt_element(m)
+                message = gt_element(group, m)
                 ct = encrypt_gt(subset, pk, message, rng)
                 for i in subset:
                     assert decrypt_gt(subset, i, shares[i - 1], ct, pk) == message

@@ -115,6 +115,43 @@ def test_decaps_header_with_a_non_canonical_set_exits_2(keys, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("C0=6d05", "C0=" + "zz" * 500_000),  # bad hex
+    ("C1=6d2d", "x" * 1_000_000),  # not a C1= line
+    ("S=1,2", "S=" + "1" * 1_000_000),  # past int()'s digit limit
+], ids=["C0-hex", "C1-line", "S-line"])
+def test_decaps_error_on_a_huge_header_line_is_short(keys, tmp_path, capsys, line, bad):
+    hdr = tmp_path / "hdr"
+    assert run("encaps", "--pk", keys / "pk.bgw", "--set", "1,2",
+               "--seed", ENCAPS_SEED, "--hdr-out", hdr, "--key-out", tmp_path / "k") == 0
+    hdr.write_text(hdr.read_text().replace(line, bad))
+    capsys.readouterr()
+    assert run("decaps", "--pk", keys / "pk.bgw", "--sk", keys / "user_1.sk",
+               "--hdr", hdr) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.encode()) < 300, err[:400]
+
+
+@pytest.mark.parametrize("name, line, bad", [
+    ("pk.bgw", "BGW1 mock p=101 n=2", "BGW1 " + "m" * 1_000_000 + " p=101 n=2"),
+    ("pk.bgw", "BGW1 mock p=101 n=2", "BGW1 mock " + "p" * 1_000_000 + "=101 n=2"),
+    ("pk.bgw", "g1=", "g" * 1_000_000 + "="),
+    ("user_1.sk", "d=1:", "d=" + "1" * 1_000_000 + ":"),
+], ids=["backend", "parameter", "role", "share-index"])
+def test_decaps_error_on_a_huge_key_file_line_is_short(keys, tmp_path, capsys,
+                                                        name, line, bad):
+    hdr = tmp_path / "hdr"
+    assert run("encaps", "--pk", keys / "pk.bgw", "--set", "1,2",
+               "--seed", 1, "--hdr-out", hdr, "--key-out", tmp_path / "k") == 0
+    path = keys / name
+    path.write_text(path.read_text().replace(line, bad, 1))
+    capsys.readouterr()
+    assert run("decaps", "--pk", keys / "pk.bgw", "--sk", keys / "user_1.sk",
+               "--hdr", hdr) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.encode()) < 300, err[:400]
+
+
 @pytest.mark.parametrize("flags", [
     ["--users", 3, "--backend", "mock", "--p", 101],  # another n
     ["--users", 2, "--backend", "mock", "--p", 103],  # another group

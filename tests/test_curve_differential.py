@@ -183,10 +183,14 @@ def test_mock_product_is_the_trace_sum(traces):
 
 @pytest.mark.parametrize("q, p", TINY_CURVES)
 def test_generator_exp_matches_oracle_over_two_periods(q, p):
+    # two periods either side of 0
     group = make_curve_group(CurveParams(q=q, p=p))
     g = group.generator()
-    for k in range(-p, 2 * p):
+    for k in range(-2 * p, 2 * p):
         assert group.exp(g, k).value == oracles.ec_mul(k, g.value, q), k
+    # the one-row table holds [d]g for d < 16, so [p]g and [2p]g are infinity
+    assert group._generator_table()[0][p] is None
+    assert group._generator_table()[0][2 * p] is None
 
 
 @settings(max_examples=25)
@@ -196,6 +200,87 @@ def test_generator_exp_matches_oracle(curve, data):
     k = data.draw(st.integers(-3 * p, 3 * p), label="k")
     g = curve.generator()
     assert curve.exp(g, k).value == oracles.ec_mul(k, g.value, curve.q)
+
+
+# -- g's radix-16 table against double-and-add --------------------------
+
+TABLE_Q = dict(LADDER_Q, q256=(
+    57896044618658097711785492504343953926634992332820282019728792003956564988963))
+
+
+@pytest.fixture(scope="module", params=list(TABLE_Q.values()), ids=list(TABLE_Q))
+def table_curve(request):
+    q = request.param
+    return make_curve_group(CurveParams(q=q, p=(q + 1) // 4))
+
+
+def _table_edges(p):
+    """0, 1, p - 1, and per row 16^j, 15 * 16^j and 16^(j+1) - 1."""
+    edges = {0, 1, p - 1}
+    for j in range(-(-p.bit_length() // 4)):
+        edges |= {16**j, 15 * 16**j, 16 ** (j + 1) - 1}
+    return sorted(edges)
+
+
+def test_generator_table_matches_double_and_add_at_edge_scalars(table_curve):
+    g = table_curve.generator()
+    for k in _table_edges(table_curve.order):
+        assert (g ** k).value == table_curve._pt_mul(k % table_curve.order, g.value), k
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_generator_table_matches_double_and_add(table_curve, data):
+    k = data.draw(st.integers(0, table_curve.order - 1), label="k")
+    g = table_curve.generator()
+    assert (g ** k).value == table_curve._pt_mul(k, g.value)
+
+
+def test_generator_table_exhaustive_on_a_four_row_table():
+    # p = 8243 = 0x2033: four rows, and every entry of the lower three is read
+    q = LADDER_Q["q16"]
+    group = make_curve_group(CurveParams(q=q, p=(q + 1) // 4))
+    g = group.generator()
+    assert len(group._generator_table()) == 4
+    for k in range(group.order):
+        assert (g ** k).value == group._pt_mul(k, g.value), k
+
+
+# -- GT powers: squaring through the norm ---------------------------------
+
+@pytest.mark.parametrize("q, p", TINY_CURVES)
+def test_gt_exp_matches_oracle_on_all_of_mu_p(q, p):
+    group = make_curve_group(CurveParams(q=q, p=p))
+    g = group.generator()
+    base = group.pair(g, g)
+    for a in range(p):
+        x = base ** a
+        for k in range(-2 * p, 2 * p):
+            assert (x ** k).value == oracles.fq2_pow(x.value, k % p, q), (a, k)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_gt_exp_matches_oracle(curve, data):
+    q, p = curve.q, curve.order
+    g = curve.generator()
+    x = curve.pair(g ** data.draw(st.integers(1, p - 1), label="a"), g)
+    k = data.draw(st.integers(-3 * p, 3 * p), label="k")
+    assert curve.exp(x, k).value == oracles.fq2_pow(x.value, k % p, q)
+
+
+@pytest.mark.parametrize("q, p", TINY_CURVES)
+def test_decode_gt_accepts_exactly_mu_p(q, p):
+    # without the norm check, two-multiplication squaring would send values
+    # of norm other than 1, such as (13, 19) at q = 59, to 1 under the p-th power
+    group = make_curve_group(CurveParams(q=q, p=p))
+    for a in range(q):
+        for b in range(q):
+            if oracles.fq2_pow((a, b), p, q) == (1, 0):
+                assert group.decode_gt(bytes([a, b])).value == (a, b)
+            else:
+                with pytest.raises(DecodeError):
+                    group.decode_gt(bytes([a, b]))
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from bgwkem import (
     make_mock_group,
 )
 from bgwkem.hybrid import DEM_DOMAIN_TAG, NONCE_SIZE
+from conftest import gt_element
 
 # SHA-256("BGW-KEM-DEM-v1" || encode(GT trace 40 at mock p=101)), computed
 # once from the canonical encoding b"\x74\x28" and frozen.
@@ -49,7 +50,7 @@ def state(mock101, scripted):
 class TestGtLayer:
     def test_worked_example(self, state, scripted):
         group, pk, shares = state
-        ct = encrypt_gt({1, 2}, pk, group.gt_element(7), scripted([5]))
+        ct = encrypt_gt({1, 2}, pk, gt_element(group, 7), scripted([5]))
         assert ct.c.value == 47  # 7 + 40 in trace arithmetic
         assert decrypt_gt({1, 2}, 1, shares[0], ct, pk).value == 7
 
@@ -61,7 +62,7 @@ class TestGtLayer:
 
     def test_wraparound_trace(self, state, scripted):
         group, pk, shares = state
-        ct = encrypt_gt({1, 2}, pk, group.gt_element(61), scripted([5]))
+        ct = encrypt_gt({1, 2}, pk, gt_element(group, 61), scripted([5]))
         assert ct.c.value == 0  # 61 + 40 = 101 = 0 mod 101
         assert decrypt_gt({1, 2}, 2, shares[1], ct, pk).value == 61
 
@@ -69,7 +70,7 @@ class TestGtLayer:
         group, pk, shares = state
         rng = random.Random(4)
         for m in range(101):
-            message = group.gt_element(m)
+            message = gt_element(group, m)
             ct = encrypt_gt({1, 2}, pk, message, rng)
             for i in (1, 2):
                 assert decrypt_gt({1, 2}, i, shares[i - 1], ct, pk) == message
@@ -79,14 +80,14 @@ class TestGtLayer:
         pk, shares = setup(4, mock101, rng)
         recipients = {1, 3, 4}
         for m in range(101):
-            message = mock101.gt_element(m)
+            message = gt_element(mock101, m)
             ct = encrypt_gt(recipients, pk, message, rng)
             for i in recipients:
                 assert decrypt_gt(recipients, i, shares[i - 1], ct, pk) == message
 
     def test_matches_kem_with_same_seed(self, state):
         group, pk, _ = state
-        message = group.gt_element(33)
+        message = gt_element(group, 33)
         header, key = encaps({1, 2}, pk, random.Random(12))
         ct = encrypt_gt({1, 2}, pk, message, random.Random(12))
         assert ct.header == header
@@ -99,7 +100,7 @@ class TestGtLayer:
 
     def test_membership_error_propagates(self, state, scripted):
         group, pk, shares = state
-        ct = encrypt_gt({1}, pk, group.gt_element(9), scripted([5]))
+        ct = encrypt_gt({1}, pk, gt_element(group, 9), scripted([5]))
         with pytest.raises(MembershipError):
             decrypt_gt({1}, 2, shares[1], ct, pk)
 
