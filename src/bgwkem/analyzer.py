@@ -8,17 +8,18 @@ The report makes that gap explicit and flags when the working size reaches
 the classic 1024-bit scale that a 160-bit-input design actually implies at
 the 80-bit security level.
 
-Both public functions first check that q and p are distinct primes, then
-find k with primes.order_up_to: embedding_degree searches up to p - 1,
-which always succeeds, and security_report only up to the k whose working
-size reaches MAX_WORKING_BITS.
+Both public functions first check that q and p are distinct primes.
+embedding_degree then takes k = primes.multiplicative_order(q, p), which
+works from the factors of p - 1 and raises ParameterError when it cannot
+find them. security_report scans with primes.order_up_to, only up to the k
+whose working size reaches MAX_WORKING_BITS.
 """
 
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import ParameterError
-from .primes import is_prime, order_up_to
+from .primes import is_prime, multiplicative_order, order_up_to
 
 # The classic 80-bit-security sizing: 160-bit pairing-group inputs paired
 # into a field whose size must compare to 1024-bit discrete-log moduli.
@@ -72,10 +73,12 @@ def _check_primes(q: int, p: int) -> None:
 def embedding_degree(q: int, p: int) -> int:
     """Smallest k >= 1 with p | q^k - 1: the multiplicative order of q mod p.
 
-    The search always ends, because that order divides p - 1.
+    Raises ParameterError when p - 1 keeps a composite factor that trial
+    division does not split and that the order does not avoid (see
+    primes.multiplicative_order).
     """
     _check_primes(q, p)
-    return order_up_to(q, p, p - 1)
+    return multiplicative_order(q, p)
 
 
 def security_report(q: int, p: int) -> ParamReport:

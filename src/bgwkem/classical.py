@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .primes import is_prime, prime_factors
+from .primes import is_prime, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,11 @@ class DhParams:
             raise ParameterError(f"p = {self.p} is not prime")
         if not 1 <= self.g <= self.p - 1:
             raise ParameterError(f"generator {self.g} out of range")
-        # g generates Z_p^* iff g^((p-1)/r) != 1 for every prime r | p-1.
-        for r in prime_factors(self.p - 1):
-            if pow(self.g, (self.p - 1) // r, self.p) == 1:
-                raise ParameterError(
-                    f"{self.g} does not generate Z_{self.p}^* (order divides (p-1)/{r})"
-                )
+        order = multiplicative_order(self.g, self.p)
+        if order != self.p - 1:
+            raise ParameterError(
+                f"{self.g} does not generate Z_{self.p}^* (its order is {order})"
+            )
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,8 @@ def _parse_params_line(line: str) -> tuple[BilinearGroup, int]:
 
 
 def _public_key_roles(n: int):
-    """The writer's (role, key) order: g, g1..gn, g(n+2)..g2n, v."""
+    """The one (role, key) order of a public key file, for writer and reader:
+    g, g1..gn, g(n+2)..g2n, v."""
     yield "g", "g"
     for i in chain(range(1, n + 1), range(n + 2, 2 * n + 1)):
         yield f"g{i}", i
@@ -112,12 +113,10 @@ def _public_key_roles(n: int):
 
 
 def write_public_key(path, pk: PublicKey) -> None:
-    lines = [_format_params_line(pk.group, pk.n)]
-    lines.append(f"g={pk.group.encode(pk.g).hex()}")
-    for i in sorted(pk.powers):
-        lines.append(f"g{i}={pk.group.encode(pk.powers[i]).hex()}")
-    lines.append(f"v={pk.group.encode(pk.v).hex()}")
-    _write_lines(path, lines)
+    elements = {"g": pk.g, "v": pk.v, **pk.powers}
+    _write_lines(path, [_format_params_line(pk.group, pk.n)] + [
+        f"{role}={pk.group.encode(elements[key]).hex()}" for role, key in _public_key_roles(pk.n)
+    ])
 
 
 def read_public_key(path) -> PublicKey:

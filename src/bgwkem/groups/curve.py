@@ -7,6 +7,11 @@ order-p subgroup with embedding degree 2. G is that subgroup; GT is the
 order-p subgroup mu_p of F_{q^2}*, where F_{q^2} = F_q[i] with i^2 = -1
 (-1 is a non-residue precisely because q = 3 mod 4).
 
+The generator g is the first [h](x, y) other than infinity for x = 1, 2,
+and so on, where h = (q + 1)/p and y = rhs^((q+1)/4), the square root of
+rhs = x^3 + x when rhs has one. Since #E(F_q) = h*p, [p][h]P = O for every
+rational P, so that point has order p with no further check.
+
 The pairing is the reduced Tate pairing composed with the distortion map
 phi(x, y) = (-x, i*y), which moves the second argument off the rational
 subgroup and makes the map symmetric and non-degenerate on G x G:
@@ -41,7 +46,7 @@ squares in two multiplications: (a + b*i)^2 = (2a^2 - 1) + 2ab*i.
 
 Every G operation runs in Jacobian coordinates through one doubling and
 one mixed addition (Cohen-Miyaji-Ono, ASIACRYPT 1998), and inverts once, in
-_to_affine. mul, product and exp of the generator are one Jacobian sum of
+_to_affine_all. mul, product and exp of the generator are one Jacobian sum of
 affine points (_sum): product adds all its operands before that single
 inversion, and g^k adds one entry per nonzero base-16 digit of k from a
 radix-16 fixed-base table (Brickell-Gordon-McCurley-Wilson, EUROCRYPT
@@ -213,15 +218,6 @@ class CurveGroup(BilinearGroup):
         X3 = (r * r - HHH - 2 * V) % q
         return X3, (r * (V - X3) - Y * HHH) % q, Z * H % q, r
 
-    def _to_affine(self, X, Y, Z):
-        """The affine point (X/Z^2, Y/Z^3), or None when Z = 0."""
-        if Z == 0:
-            return None
-        q = self.q
-        zinv = self._finv(Z)
-        zz = zinv * zinv % q
-        return (X * zz % q, Y * zz * zinv % q)
-
     def _to_affine_all(self, points):
         """The affine forms of Jacobian (X, Y, Z) triples, inverting once.
 
@@ -252,7 +248,7 @@ class CurveGroup(BilinearGroup):
         for P in points:
             if P is not None:
                 X, Y, Z, _ = self._jac_add_affine(X, Y, Z, *P)
-        return self._to_affine(X, Y, Z)
+        return self._to_affine_all([(X, Y, Z)])[0]
 
     def _pt_mul(self, k: int, P):
         """[k]P for k >= 0 by left-to-right double-and-add, inverting once."""
@@ -264,7 +260,7 @@ class CurveGroup(BilinearGroup):
             X, Y, Z = self._jac_double(X, Y, Z)[:3]
             if bit == "1":
                 X, Y, Z, _ = self._jac_add_affine(X, Y, Z, xp, yp)
-        return self._to_affine(X, Y, Z)
+        return self._to_affine_all([(X, Y, Z)])[0]
 
     def _fixed_base_table(self, P):
         """Rows [d * 16^j]P, 0 <= d < 16, one per base-16 digit of p.
@@ -303,17 +299,16 @@ class CurveGroup(BilinearGroup):
         return table
 
     def _find_generator(self):
-        """First cofactor-cleared point of exact order p, scanning x upward."""
+        """First [h](x, y) other than infinity, scanning x upward (module notes)."""
         q = self.q
         h = self._cofactor
         for x in range(1, min(q, _GENERATOR_SEARCH_BOUND)):
-            # rhs != 0 here: x > 0 and x^2 = -1 has no root when q = 3 mod 4
             rhs = (x * x * x + x) % q
-            if pow(rhs, (q - 1) // 2, q) != 1:
-                continue
             y = pow(rhs, (q + 1) // 4, q)
+            if y * y % q != rhs:
+                continue
             candidate = self._pt_mul(h, (x, y))
-            if candidate is not None and self._pt_mul(self.order, candidate) is None:
+            if candidate is not None:
                 return candidate
         raise ParameterError(
             f"no order-{self.order} generator found on y^2 = x^3 + x over F_{q}"

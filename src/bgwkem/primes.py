@@ -1,16 +1,27 @@
-"""Small number-theory helpers: primality testing, trial-division factoring
-and a bounded multiplicative-order search.
+"""Small number-theory helpers: primality testing and two bounded
+multiplicative-order computations.
 
 Everything here targets desk-scale inputs. The Miller-Rabin test is
 deterministic below 3.3 * 10**24 via a fixed witness set and falls back to
 64 pseudo-random rounds above that, which is ample for test-sized moduli.
+
+order_up_to scans a^1, a^2, ... up to a caller's bound. multiplicative_order
+works from the factors of p - 1 instead, found by trial division up to
+TRIAL_DIVISION_BOUND, so its work does not grow with p: it either finds the
+order or raises ParameterError.
 """
 
 import random
 
+from .errors import ParameterError
+
 # Deterministic Miller-Rabin witnesses for n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+# multiplicative_order trial-divides p - 1 by 2 and the odd numbers up to
+# this bound, about 33 000 divisions at most.
+TRIAL_DIVISION_BOUND = 2**16
 
 
 def is_prime(n: int) -> bool:
@@ -56,18 +67,37 @@ def order_up_to(a: int, p: int, bound: int) -> int | None:
     return None
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n in ascending order, by trial division."""
-    if n < 1:
-        raise ValueError("n must be positive")
+def multiplicative_order(a: int, p: int) -> int:
+    """The order of a mod a prime p that does not divide a.
+
+    Trial division up to TRIAL_DIVISION_BOUND splits p - 1 = F * R, where
+    F is the product of the prime powers found. When R is 1 or prime, p - 1
+    is fully factored and the order is p - 1 reduced prime by prime. When R
+    is composite, its factors are unknown; the order is still found when it
+    divides F, that is when a^F = 1, and otherwise ParameterError is raised.
+    """
+    if a % p == 0:
+        raise ParameterError(f"{a} has no multiplicative order mod {p}")
+    rest = p - 1
     factors = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
+    while d <= TRIAL_DIVISION_BOUND and d * d <= rest:
+        if rest % d == 0:
             factors.append(d)
-            while n % d == 0:
-                n //= d
+            while rest % d == 0:
+                rest //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append(n)
-    return factors
+    order = p - 1
+    if is_prime(rest):
+        factors.append(rest)
+    elif rest > 1:
+        order //= rest
+        if pow(a, order, p) != 1:
+            raise ParameterError(
+                f"the order of {a} mod {p} is not found: p - 1 has a composite "
+                f"factor with no prime factor up to {TRIAL_DIVISION_BOUND}"
+            )
+    for r in factors:
+        while order % r == 0 and pow(a, order // r, p) == 1:
+            order //= r
+    return order

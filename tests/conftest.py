@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import settings
 
@@ -38,6 +41,22 @@ class ScriptedRng:
 def gt_element(group, trace):
     """The mock GT element with the given trace; handy for exhaustive sweeps."""
     return GTElement(group, trace % group.order)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError if the block runs longer than `seconds` (POSIX only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

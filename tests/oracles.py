@@ -149,6 +149,23 @@ def tate_pairing(P, Q, q, p):
     return fq2_pow(f, (q * q - 1) // p, q)
 
 
+def prime_factors(n):
+    """Distinct prime factors of n in ascending order, by trial division."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def naive_embedding_degree(q, p):
     """Least k with p | q^k - 1, each candidate checked by direct division."""
     for k in range(1, p):

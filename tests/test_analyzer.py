@@ -9,6 +9,7 @@ from bgwkem.analyzer import (
     security_report,
 )
 from bgwkem.primes import is_prime
+from conftest import time_limit
 
 # 512-bit prime q = 4 * 1021 * m - 1, generated once and frozen; 1021 | q+1
 # and q = 3 mod 4, so the embedding degree of 1021 relative to q is 2.
@@ -35,6 +36,15 @@ def test_against_naive_oracle_exhaustive():
             for j in range(1, k):
                 assert (q**j - 1) % p != 0
             assert (p - 1) % k == 0  # order of q mod p divides p-1
+
+
+def test_embedding_degree_is_bounded_for_large_p():
+    with time_limit(5):
+        # p - 1 factors below 2^16, and the order is most of it
+        assert embedding_degree(3, 2**61 - 1) == 256204778801521550
+        # p - 1 = 4 * 43 * (150-bit composite); q = -1 mod p, so k = 2
+        q160 = 730750818665451459101842416358141509827966272147
+        assert embedding_degree(q160, (q160 + 1) // 4) == 2
 
 
 def test_rejects_bad_inputs():

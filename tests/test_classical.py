@@ -13,6 +13,7 @@ from bgwkem import (
     rsa_encrypt,
     rsa_keygen,
 )
+from conftest import time_limit
 
 
 class TestDiffieHellman:
@@ -27,6 +28,18 @@ class TestDiffieHellman:
             DhParams(p=23, g=2)
         with pytest.raises(ParameterError):
             DhParams(p=23, g=1)
+
+    def test_params_decide_large_p_quickly(self):
+        # p = 2r + 1 with r prime: 2 is a square mod p, so its order is r
+        p = 1208925819614629174708367
+        with time_limit(5):
+            with pytest.raises(ParameterError, match="does not generate"):
+                DhParams(p=p, g=2)
+            DhParams(p=p, g=5)
+            # p - 1 = 4 * 43 * m with m a composite of primes above 2^16, and
+            # 5's order does not divide 4 * 43: the order cannot be checked
+            with pytest.raises(ParameterError, match="not found"):
+                DhParams(p=182687704666362864775460604089535377456991568037, g=5)
 
     def test_params_reject_composite_modulus(self):
         with pytest.raises(ParameterError):

@@ -101,10 +101,19 @@ def test_mul_matches_oracle(curve, data):
 
 
 def test_generators_unchanged():
+    # every valid (q, p) with q < 1200, then the ladder and q256
+    sweep = [
+        (q, p)
+        for q in range(3, 1200, 4) if oracles.prime_factors(q) == [q]
+        for p in oracles.prime_factors(q + 1) if p >= 5 and (q + 1) % (p * p)
+    ]
+    assert {(59, 5), *TINY_CURVES} <= set(sweep)
     assert make_curve_group(CurveParams(q=59, p=5)).generator().value == (35, 31)
-    for q, p in TINY_CURVES + CURVES[1:]:
+    for q in [*LADDER_Q.values(), TABLE_Q["q256"]]:
+        sweep.append((q, (q + 1) // 4))
+    for q, p in sweep:
         group = make_curve_group(CurveParams(q=q, p=p))
-        assert group.generator().value == oracles.curve_generator(q, p)
+        assert group.generator().value == oracles.curve_generator(q, p), (q, p)
 
 
 def test_gt_inverse_is_oracle_inverse_on_all_of_mu_p():

@@ -1,9 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bgwkem.primes import is_prime, order_up_to, prime_factors
+from bgwkem import ParameterError
+from bgwkem.primes import is_prime, multiplicative_order, order_up_to
+from oracles import prime_factors
 
 PRIMES_BELOW_1000 = [n for n in range(2, 1000) if is_prime(n)]
+# 4 * P160 - 1 is the q160 ladder curve's q. P160 - 1 = 4 * 43 * m, where m
+# is a 150-bit composite with no prime factor up to 2^16.
+P160 = 182687704666362864775460604089535377456991568037
 
 
 def test_is_prime_small():
@@ -40,3 +45,27 @@ def test_order_up_to_matches_a_pow_scan(data):
     bound = data.draw(st.integers(0, p))
     naive = next((k for k in range(1, bound + 1) if pow(a, k, p) == 1), None)
     assert order_up_to(a, p, bound) == naive
+
+
+def test_multiplicative_order_matches_order_up_to():
+    for p in range(2, 3000):
+        if is_prime(p):
+            for a in {*range(1, min(p, 12)), p - 1, p + 2, -3}:
+                if a % p:
+                    assert multiplicative_order(a, p) == order_up_to(a, p, p - 1), (a, p)
+    with pytest.raises(ParameterError):
+        multiplicative_order(2 * 101, 101)
+
+
+def test_multiplicative_order_past_the_trial_division_bound():
+    m = (P160 - 1) // (4 * 43)
+    assert m.bit_length() == 150 and not is_prime(m)
+    assert all(m % d for d in range(2, 2**16 + 1))
+    # q160 = -1 mod P160, so its order divides the factored part 4 * 43
+    assert multiplicative_order(4 * P160 - 1, P160) == 2
+    assert multiplicative_order(P160 - 1, P160) == 2
+    assert multiplicative_order(1, P160) == 1
+    # 5's order is not inside the factored part, and m cannot be split
+    assert pow(5, 4 * 43, P160) != 1
+    with pytest.raises(ParameterError, match="composite factor"):
+        multiplicative_order(5, P160)
