@@ -73,28 +73,43 @@ _NO_OPERAND = object()  # _claim's default b; None is an operand passed by mista
 class BilinearGroup(ABC):
     """Symmetric pairing context of prime order ``self.order``.
 
-    ``self.params`` is the group's identity, set once by the backend's
-    constructor: the backend name followed by (name, value) pairs, e.g.
-    ``("curve", ("q", 59), ("p", 5))``. Equality, hashing and
-    ``describe()`` all derive from it, and ``groups.make_group`` inverts it.
+    A backend is its group law, its pairing and its codec. Its constructor
+    sets, once, the values that are facts about the group:
+
+    - ``order``, the prime p;
+    - ``params``, the group's identity: the backend name followed by
+      (name, value) pairs, e.g. ``("curve", ("q", 59), ("p", 5))``;
+    - ``g_encoded_size`` and ``gt_encoded_size``, the byte length of every
+      encoded G and GT element;
+    - ``_g``, ``_identity_g`` and ``_identity_gt``, the backend values of
+      the canonical generator g of G and of the neutral elements of G and GT.
+
+    This class derives the rest from them: ``generator()``, ``identity_g()``
+    and ``identity_gt()`` wrap the three values, and equality, hashing and
+    ``describe()`` come from ``params``, which ``groups.make_group`` inverts.
     """
 
     order: int
     params: tuple
+    g_encoded_size: int
+    gt_encoded_size: int
+    _g: object
+    _identity_g: object
+    _identity_gt: object
 
     # -- construction-side values ------------------------------------
 
-    @abstractmethod
     def generator(self) -> GElement:
         """The canonical generator g of G."""
+        return GElement(self, self._g)
 
-    @abstractmethod
     def identity_g(self) -> GElement:
         """Neutral element of G."""
+        return GElement(self, self._identity_g)
 
-    @abstractmethod
     def identity_gt(self) -> GTElement:
         """Neutral element of GT."""
+        return GTElement(self, self._identity_gt)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -143,16 +158,6 @@ class BilinearGroup(ABC):
     @abstractmethod
     def decode_gt(self, data: bytes) -> GTElement:
         """Inverse of encode for GT elements; validates membership."""
-
-    @property
-    @abstractmethod
-    def g_encoded_size(self) -> int:
-        """Byte length of every encoded G element."""
-
-    @property
-    @abstractmethod
-    def gt_encoded_size(self) -> int:
-        """Byte length of every encoded GT element."""
 
     # -- shared plumbing ---------------------------------------------
 

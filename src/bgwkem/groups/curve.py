@@ -52,10 +52,10 @@ inversion, and g^k adds one entry per nonzero base-16 digit of k from a
 radix-16 fixed-base table (Brickell-Gordon-McCurley-Wilson, EUROCRYPT
 1992). Row j of the table holds [d*16^j]g for the digits d, one row per
 base-16 digit of p, so g^k costs at most that many mixed additions (40 at
-p of 158 bits) and one inversion. The table is built on the group's first
-g^k with the same two step functions; its row bases [16^j]g, and then all
-of its entries, are normalised with one inversion each (Montgomery's
-trick, in _to_affine_all).
+p of 158 bits) and one inversion. The table is a cached property of the
+group, built on its first g^k with the same two step functions; its row
+bases [16^j]g, and then all of its entries, are normalised with one
+inversion each (Montgomery's trick, in _to_affine_all).
 exp of any other base and the subgroup check of decode_g double and add in
 _pt_mul. _lines moves R with the same two step functions and builds its
 lines from the values they return.
@@ -67,6 +67,7 @@ live only inside the G operations and the Miller loop. F_{q^2} values are
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import DecodeError, ParameterError, UsageError
 from ..primes import is_prime
@@ -127,8 +128,11 @@ class CurveGroup(BilinearGroup):
         self.params = ("curve", ("q", params.q), ("p", params.p))
         self._cofactor = params.cofactor
         self._qwidth = (self.q.bit_length() + 7) // 8
-        self._gen = self._find_generator()
-        self._gen_table = None  # filled by _generator_table
+        self.g_encoded_size = 1 + 2 * self._qwidth
+        self.gt_encoded_size = 2 * self._qwidth
+        self._g = self._find_generator()
+        self._identity_g = None
+        self._identity_gt = (1, 0)
         # per line of a chain: whether f is squared before it, which holds
         # for each bit's tangent and not for a set bit's chord
         squarings = []
@@ -291,12 +295,10 @@ class CurveGroup(BilinearGroup):
         width = _RADIX - 1
         return [[None] + points[j * width:(j + 1) * width] for j in range(rows)]
 
+    @cached_property
     def _generator_table(self):
-        """g's fixed-base table, built on the first call."""
-        table = self._gen_table
-        if table is None:
-            table = self._gen_table = self._fixed_base_table(self._gen)
-        return table
+        """g's fixed-base table, built on the first read."""
+        return self._fixed_base_table(self._g)
 
     def _find_generator(self):
         """First [h](x, y) other than infinity, scanning x upward (module notes)."""
@@ -371,17 +373,6 @@ class CurveGroup(BilinearGroup):
         u = ((a * a - b * b) * ninv % q, -2 * a * b * ninv % q)
         return self._f2pow(u, self._cofactor)
 
-    # -- construction-side values ------------------------------------
-
-    def generator(self) -> GElement:
-        return GElement(self, self._gen)
-
-    def identity_g(self) -> GElement:
-        return GElement(self, None)
-
-    def identity_gt(self) -> GTElement:
-        return GTElement(self, (1, 0))
-
     # -- arithmetic ----------------------------------------------------
 
     def mul(self, a, b):
@@ -407,8 +398,8 @@ class CurveGroup(BilinearGroup):
         k = self._exponent(exponent)
         if kind is GTElement:
             return GTElement(self, self._f2pow(x.value, k))
-        if x.value == self._gen:
-            table = self._generator_table()
+        if x.value == self._g:
+            table = self._generator_table
             terms = [row[(k >> _RADIX_BITS * j) % _RADIX] for j, row in enumerate(table)]
             return GElement(self, self._sum(terms))
         return GElement(self, self._pt_mul(k, x.value))
@@ -439,10 +430,8 @@ class CurveGroup(BilinearGroup):
         )
 
     def decode_g(self, data: bytes) -> GElement:
-        if len(data) != 1 + 2 * self._qwidth:
-            raise DecodeError(
-                f"expected {1 + 2 * self._qwidth} bytes, got {len(data)}"
-            )
+        if len(data) != self.g_encoded_size:
+            raise DecodeError(f"expected {self.g_encoded_size} bytes, got {len(data)}")
         x = int.from_bytes(data[1 : 1 + self._qwidth], "big")
         y = int.from_bytes(data[1 + self._qwidth :], "big")
         if data[0] == _INFINITY_TAG:
@@ -460,8 +449,8 @@ class CurveGroup(BilinearGroup):
         return GElement(self, (x, y))
 
     def decode_gt(self, data: bytes) -> GTElement:
-        if len(data) != 2 * self._qwidth:
-            raise DecodeError(f"expected {2 * self._qwidth} bytes, got {len(data)}")
+        if len(data) != self.gt_encoded_size:
+            raise DecodeError(f"expected {self.gt_encoded_size} bytes, got {len(data)}")
         a = int.from_bytes(data[: self._qwidth], "big")
         b = int.from_bytes(data[self._qwidth :], "big")
         if a >= self.q or b >= self.q:
@@ -470,14 +459,6 @@ class CurveGroup(BilinearGroup):
         if (a * a + b * b) % self.q != 1 or self._f2pow((a, b), self.order) != (1, 0):
             raise DecodeError(f"value is not in the order-{self.order} subgroup")
         return GTElement(self, (a, b))
-
-    @property
-    def g_encoded_size(self) -> int:
-        return 1 + 2 * self._qwidth
-
-    @property
-    def gt_encoded_size(self) -> int:
-        return 2 * self._qwidth
 
 
 def make_curve_group(params: CurveParams) -> CurveGroup:

@@ -24,17 +24,9 @@ class MockGroup(BilinearGroup):
         self.order = p
         self.params = ("mock", ("p", p))
         self._width = (p.bit_length() + 7) // 8
-
-    # -- construction-side values ------------------------------------
-
-    def generator(self) -> GElement:
-        return GElement(self, 1)
-
-    def identity_g(self) -> GElement:
-        return GElement(self, 0)
-
-    def identity_gt(self) -> GTElement:
-        return GTElement(self, 0)
+        self.g_encoded_size = self.gt_encoded_size = 1 + self._width
+        self._g = 1
+        self._identity_g = self._identity_gt = 0
 
     # -- arithmetic ----------------------------------------------------
 
@@ -67,24 +59,14 @@ class MockGroup(BilinearGroup):
         return GTElement(self, self._decode(data, _GT_TAG))
 
     def _decode(self, data: bytes, tag: int) -> int:
-        if len(data) != 1 + self._width:
-            raise DecodeError(
-                f"expected {1 + self._width} bytes, got {len(data)}"
-            )
+        if len(data) != self.g_encoded_size:
+            raise DecodeError(f"expected {self.g_encoded_size} bytes, got {len(data)}")
         if data[0] != tag:
             raise DecodeError(f"bad element tag {data[0]:#04x}")
         trace = int.from_bytes(data[1:], "big")
         if trace >= self.order:
             raise DecodeError(f"trace {trace} not reduced mod {self.order}")
         return trace
-
-    @property
-    def g_encoded_size(self) -> int:
-        return 1 + self._width
-
-    @property
-    def gt_encoded_size(self) -> int:
-        return 1 + self._width
 
 
 def make_mock_group(p: int) -> MockGroup:

@@ -54,13 +54,13 @@ class BroadcastCiphertext:
 
     def to_bytes(self, group: BilinearGroup) -> bytes:
         """Wire layout: header || nonce || 8-byte length || body || tag."""
-        return (
-            encode_header(group, self.header)
-            + self.nonce
-            + len(self.body).to_bytes(_LENGTH_FIELD, "big")
-            + self.body
-            + self.tag
-        )
+        return b"".join((
+            encode_header(group, self.header),
+            self.nonce,
+            len(self.body).to_bytes(_LENGTH_FIELD, "big"),
+            self.body,
+            self.tag,
+        ))
 
     @classmethod
     def from_bytes(cls, group: BilinearGroup, data: bytes) -> "BroadcastCiphertext":

@@ -42,6 +42,7 @@ DIFF = "tests/test_curve_differential.py"
 GENERATORS = f"{DIFF}::test_generators_unchanged"
 PAIR = f"{DIFF}::test_pair_matches_oracle"
 WHOLE_CURVE = f"{DIFF}::test_scalar_multiplication_exhaustive_on_whole_curve"
+ENCODING = "tests/test_curve_group.py::test_encoding_fixed_width_and_canonical"
 TABLE = (
     f"{DIFF}::test_generator_table_exhaustive_on_a_four_row_table",
     f"{DIFF}::test_generator_table_matches_double_and_add_at_edge_scalars",
@@ -129,6 +130,25 @@ MUTANTS = [
     Mutant("final power from f/conj(f) in place of conj(f)/f", CURVE,
            "-2 * a * b * ninv % q)", "2 * a * b * ninv % q)",
            (PAIR,)),
+    # the values each backend's constructor sets and BilinearGroup serves
+    Mutant("curve G size off by one", CURVE,
+           "self.g_encoded_size = 1 + 2 * self._qwidth",
+           "self.g_encoded_size = 2 + 2 * self._qwidth",
+           (ENCODING,)),
+    Mutant("curve GT size given a tag byte", CURVE,
+           "self.gt_encoded_size = 2 * self._qwidth",
+           "self.gt_encoded_size = 1 + 2 * self._qwidth",
+           (ENCODING,)),
+    Mutant("mock G identity 1", "src/bgwkem/groups/mock.py",
+           "self._identity_g = self._identity_gt = 0",
+           "self._identity_g, self._identity_gt = 1, 0",
+           ("tests/test_mock_group.py::test_generator_and_identities",)),
+    Mutant("curve GT identity (0, 1)", CURVE,
+           "self._identity_gt = (1, 0)", "self._identity_gt = (0, 1)",
+           ("tests/test_curve_group.py::test_pairing_non_degenerate",)),
+    Mutant("exp reads g's table for every G base", CURVE,
+           "if x.value == self._g:", "if True:",
+           (f"{DIFF}::test_exp_matches_oracle",)),
 ]
 
 

@@ -28,6 +28,9 @@ class TestDiffieHellman:
             DhParams(p=23, g=2)
         with pytest.raises(ParameterError):
             DhParams(p=23, g=1)
+        for g in (0, 23):
+            with pytest.raises(ParameterError, match="out of range"):
+                DhParams(p=23, g=g)
 
     def test_params_decide_large_p_quickly(self):
         # p = 2r + 1 with r prime: 2 is a square mod p, so its order is r
@@ -101,6 +104,9 @@ class TestRsa:
             rsa_keygen(4, 11, 3)  # composite
         with pytest.raises(ParameterError):
             rsa_keygen(2, 11, 3)  # even prime
+        for q in (2, 9):
+            with pytest.raises(ParameterError, match="q = "):
+                rsa_keygen(5, q, 3)
 
     def test_encrypt_pinned(self):
         assert rsa_encrypt(7, 55, 3) == 13  # 7^3 = 343 = 13 mod 55

@@ -198,8 +198,8 @@ def test_generator_exp_matches_oracle_over_two_periods(q, p):
     for k in range(-2 * p, 2 * p):
         assert group.exp(g, k).value == oracles.ec_mul(k, g.value, q), k
     # the one-row table holds [d]g for d < 16, so [p]g and [2p]g are infinity
-    assert group._generator_table()[0][p] is None
-    assert group._generator_table()[0][2 * p] is None
+    assert group._generator_table[0][p] is None
+    assert group._generator_table[0][2 * p] is None
 
 
 @settings(max_examples=25)
@@ -250,7 +250,7 @@ def test_generator_table_exhaustive_on_a_four_row_table():
     q = LADDER_Q["q16"]
     group = make_curve_group(CurveParams(q=q, p=(q + 1) // 4))
     g = group.generator()
-    assert len(group._generator_table()) == 4
+    assert len(group._generator_table) == 4
     for k in range(group.order):
         assert (g ** k).value == group._pt_mul(k, g.value), k
 

@@ -112,6 +112,15 @@ def test_encoding_fixed_width_and_canonical(curve59):
     assert {len(b) for b in blobs} == {curve59.g_encoded_size}
     assert len(set(blobs)) == 5
     assert curve59.encode(curve59.identity_g()) == b"\x00\x00\x00"
+    gt = curve59.pair(g, g)
+    gt_blobs = [curve59.encode(gt ** a) for a in range(5)]
+    assert {len(b) for b in gt_blobs} == {curve59.gt_encoded_size}
+    assert len(set(gt_blobs)) == 5
+    # q of 160 bits takes 20 bytes a coordinate: a tag byte and x, y in G;
+    # a and b in GT
+    q160 = 730750818665451459101842416358141509827966272147
+    group = make_curve_group(CurveParams(q=q160, p=(q160 + 1) // 4))
+    assert (group.g_encoded_size, group.gt_encoded_size) == (41, 40)
 
 
 def test_decode_rejects_off_curve_point(curve59):

@@ -102,6 +102,10 @@ def test_encoding_is_canonical_and_fixed_width(mock101):
     assert len(blobs) == 101
     assert {len(b) for b in blobs} == {mock101.g_encoded_size}
     assert mock101.encode(mock101.identity_g()) == b"\x6d\x00"
+    gt = mock101.pair(g, g)
+    gt_blobs = {mock101.encode(gt ** a) for a in range(101)}
+    assert len(gt_blobs) == 101
+    assert {len(b) for b in gt_blobs} == {mock101.gt_encoded_size}
 
 
 def test_decode_rejects_malformed(mock101):
