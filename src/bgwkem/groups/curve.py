@@ -56,9 +56,18 @@ p of 158 bits) and one inversion. The table is a cached property of the
 group, built on its first g^k with the same two step functions; its row
 bases [16^j]g, and then all of its entries, are normalised with one
 inversion each (Montgomery's trick, in _to_affine_all).
-exp of any other base and the subgroup check of decode_g double and add in
-_pt_mul. _lines moves R with the same two step functions and builds its
-lines from the values they return.
+exp of any other base doubles and adds in _pt_mul. _lines moves R with the
+same two step functions and builds its lines from the values they return.
+
+decode_g proves membership in G without computing [p]P. Since
+G = [h]E(F_q), it tests P for membership in [2^a]E(F_q), 2^a being the
+largest power of two dividing h, by a 2-descent: x(P) mod squares is the
+descent map of a 2-isogeny (Silverman, The Arithmetic of Elliptic Curves,
+ch. X), and each level halves P through x alone. That costs a few Jacobi
+symbols and square roots; it is the Tate-pairing test of subgroup
+membership (Koshelev, J. Cryptogr. Eng. 2023) for l = 2. The odd part m of
+h takes [2^a*p]P = O in _pt_mul, and only when m > 1. _in_subgroup carries
+the argument.
 
 Points are affine (x, y) tuples with None for infinity; Jacobian triples
 live only inside the G operations and the Miller loop. F_{q^2} values are
@@ -70,7 +79,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import DecodeError, ParameterError, UsageError
-from ..primes import is_prime
+from ..primes import is_prime, jacobi
 from .base import BilinearGroup, GElement, GTElement
 
 _INFINITY_TAG = 0x00
@@ -266,6 +275,49 @@ class CurveGroup(BilinearGroup):
                 X, Y, Z, _ = self._jac_add_affine(X, Y, Z, xp, yp)
         return self._to_affine_all([(X, Y, Z)])[0]
 
+    def _in_subgroup(self, x: int, y: int) -> bool:
+        """Whether a point P = (x, y) of E(F_q) lies in G; P must be on the curve.
+
+        E(F_q) is cyclic of order h*p, so G = [h]E(F_q). Write h = 2^a * m
+        with m odd; a >= 2, because q = 3 mod 4. P is in G exactly when it
+        is in [2^a]E(F_q) and [2^a * p]P = O, and the second test is needed
+        only when m > 1. The first is a 2-descent (Silverman, AEC, ch. X;
+        Koshelev, J. Cryptogr. Eng. 2023, for l = 2):
+
+        - P != O is in 2E(F_q) exactly when x is a nonzero square. x mod
+          squares is the descent map of the 2-isogeny to Y^2 = X(X^2 - 4):
+          its kernel has index 2 and contains 2E(F_q), since
+          x(2R) = ((x_R^2 - 1) / (2*y_R))^2, and a cyclic group has one
+          subgroup of index 2. The test fails on (0, 0), which has order 2
+          and so is outside G anyway.
+        - A half R of P has x_R a root of t^2 - u*t + 1, where
+          u = x_R + 1/x_R = 2(x +- sqrt(x^2 + 1)). Only the halves in E(F_q)
+          have x_R in F_q, so the sign is the one for which u^2 - 4 is a
+          square. The other root is x of R + (0, 0), which lies in
+          2E(F_q) exactly when R does, so either root serves for the next
+          level.
+        - (x_R + 1)^2 = (u + 2) * x_R, so x_R is a square exactly when u + 2
+          is one (u - 2 would serve too, as (u + 2)(u - 2) is a square), and
+          x_R itself is found only when another level follows.
+        """
+        q = self.q
+        h = self._cofactor
+        a = (h & -h).bit_length() - 1
+        root = (q + 1) // 4  # s^root is a square root of any square s
+        if jacobi(x, q) != 1:
+            return False
+        t, u = x, None
+        for _ in range(a - 1):
+            if u is not None:
+                t = (u + pow(u * u - 4, root, q)) * ((q + 1) // 2) % q
+            s = pow(t * t + 1, root, q)
+            u = 2 * (t + s) % q
+            if jacobi(u * u - 4, q) != 1:
+                u = 2 * (t - s) % q
+            if jacobi(u + 2, q) != 1:
+                return False
+        return h >> a == 1 or self._pt_mul(self.order << a, (x, y)) is None
+
     def _fixed_base_table(self, P):
         """Rows [d * 16^j]P, 0 <= d < 16, one per base-16 digit of p.
 
@@ -444,7 +496,7 @@ class CurveGroup(BilinearGroup):
             raise DecodeError("coordinate not reduced mod q")
         if not self._on_curve(x, y):
             raise DecodeError(f"({x}, {y}) is not on y^2 = x^3 + x")
-        if self._pt_mul(self.order, (x, y)) is not None:
+        if not self._in_subgroup(x, y):
             raise DecodeError(f"({x}, {y}) is not in the order-{self.order} subgroup")
         return GElement(self, (x, y))
 

@@ -19,9 +19,9 @@ All randomness comes from an explicit rng with the random.Random
 interface, making every output reproducible from a seed.
 """
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
 
 from .errors import DecodeError, MembershipError, ParameterError, SetError, UsageError, quote
 from .groups import BilinearGroup, GElement, GTElement
@@ -45,7 +45,7 @@ class RecipientSet:
         self.indices = tuple(sorted(idx))
 
     @classmethod
-    def coerce(cls, value: Union["RecipientSet", Iterable[int]]) -> "RecipientSet":
+    def coerce(cls, value: "RecipientSet | Iterable[int]") -> "RecipientSet":
         if isinstance(value, cls):
             return value
         return cls(value)

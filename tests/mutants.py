@@ -43,6 +43,7 @@ GENERATORS = f"{DIFF}::test_generators_unchanged"
 PAIR = f"{DIFF}::test_pair_matches_oracle"
 WHOLE_CURVE = f"{DIFF}::test_scalar_multiplication_exhaustive_on_whole_curve"
 ENCODING = "tests/test_curve_group.py::test_encoding_fixed_width_and_canonical"
+SUBGROUP_SWEEP = f"{DIFF}::test_subgroup_check_is_the_p_multiple_test_on_every_small_curve"
 TABLE = (
     f"{DIFF}::test_generator_table_exhaustive_on_a_four_row_table",
     f"{DIFF}::test_generator_table_matches_double_and_add_at_edge_scalars",
@@ -55,7 +56,7 @@ MUTANTS = [
            "            if y * y % q != rhs:\n                continue\n", "",
            (GENERATORS,)),
     Mutant("generator search with half the cofactor", CURVE,
-           "h = self._cofactor\n", "h = self._cofactor // 2\n",
+           "h = self._cofactor\n        for x", "h = self._cofactor // 2\n        for x",
            (GENERATORS,)),
     Mutant("_pt_mul returns its Jacobian X and Y unnormalised", CURVE,
            "yp)\n        return self._to_affine_all([(X, Y, Z)])[0]",
@@ -111,6 +112,25 @@ MUTANTS = [
     Mutant("batch inversion peels the wrong prefix", CURVE,
            "zinv = inverse * prefixes[i] % q", "zinv = inverse * prefixes[i - 1] % q",
            TABLE),
+    # decode_g's checks: on the curve, then the 2-descent and the odd part
+    Mutant("decode_g without the on-curve check", CURVE,
+           "if not self._on_curve(x, y):", "if False:",
+           ("tests/test_curve_group.py::test_decode_rejects_off_curve_point",)),
+    Mutant("descent takes the sign for which u^2 - 4 is a non-square", CURVE,
+           "if jacobi(u * u - 4, q) != 1:", "if jacobi(u * u - 4, q) == 1:",
+           (SUBGROUP_SWEEP,)),
+    Mutant("descent drops one level", CURVE,
+           "for _ in range(a - 1):", "for _ in range(a - 2):",
+           (SUBGROUP_SWEEP,)),
+    # u - 2 in place of u + 2 is no mutant: (u + 2)(u - 2) = u^2 - 4 is a
+    # square, so both have one Jacobi symbol
+    Mutant("descent tests u in place of u + 2 at each level", CURVE,
+           "if jacobi(u + 2, q) != 1:", "if jacobi(u, q) != 1:",
+           (SUBGROUP_SWEEP,)),
+    Mutant("subgroup check skips the odd part of the cofactor", CURVE,
+           "return h >> a == 1 or self._pt_mul(self.order << a, (x, y)) is None",
+           "return True",
+           (SUBGROUP_SWEEP,)),
     # GT and the pairing
     Mutant("GT squaring as 2a^2 + 1", CURVE,
            "a, b = (2 * a * a - 1) % q, 2 * a * b % q",

@@ -100,13 +100,18 @@ def test_mul_matches_oracle(curve, data):
     assert (P * Q).value == oracles.ec_add(P.value, Q.value, q)
 
 
-def test_generators_unchanged():
-    # every valid (q, p) with q < 1200, then the ladder and q256
-    sweep = [
+def _valid_curves(bound):
+    """Every valid (q, p) with q < bound."""
+    return [
         (q, p)
-        for q in range(3, 1200, 4) if oracles.prime_factors(q) == [q]
+        for q in range(3, bound, 4) if oracles.prime_factors(q) == [q]
         for p in oracles.prime_factors(q + 1) if p >= 5 and (q + 1) % (p * p)
     ]
+
+
+def test_generators_unchanged():
+    # every valid (q, p) with q < 1200, then the ladder and q256
+    sweep = _valid_curves(1200)
     assert {(59, 5), *TINY_CURVES} <= set(sweep)
     assert make_curve_group(CurveParams(q=59, p=5)).generator().value == (35, 31)
     for q in [*LADDER_Q.values(), TABLE_Q["q256"]]:
@@ -114,6 +119,48 @@ def test_generators_unchanged():
     for q, p in sweep:
         group = make_curve_group(CurveParams(q=q, p=p))
         assert group.generator().value == oracles.curve_generator(q, p), (q, p)
+
+
+# -- decode_g's subgroup check: 2-descent against [p]P = O -----------------
+
+def test_subgroup_check_is_the_p_multiple_test_on_every_small_curve():
+    sweep = _valid_curves(600)
+    assert {(59, 5), (103, 13), (139, 7)} <= set(sweep)
+    seen, twos = 0, set()
+    for q, p in sweep:
+        group = make_curve_group(CurveParams(q=q, p=p))
+        h = (q + 1) // p
+        twos.add((h & -h).bit_length() - 1)
+        for P in oracles.enumerate_curve(q):
+            assert group._in_subgroup(*P) == (group._pt_mul(p, P) is None), (q, p, P)
+            seen += 1
+    # cofactors 4 to 32 times an odd part: one to four halvings
+    assert (len(sweep), seen, twos) == (47, 14401, {2, 3, 4, 5})
+
+
+def _lift(group, x):
+    """The first point of E(F_q) with x-coordinate x, x + 1, and so on."""
+    q = group.q
+    while True:
+        rhs = (x * x * x + x) % q
+        y = pow(rhs, (q + 1) // 4, q)
+        if y * y % q == rhs:
+            return x, y
+        x = (x + 1) % q
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_subgroup_check_is_the_p_multiple_test(table_curve, data):
+    group, q, p = table_curve, table_curve.q, table_curve.order
+    g = group.generator()
+    inside = (g ** data.draw(st.integers(1, p - 1), label="k")).value
+    R = _lift(group, data.draw(st.integers(0, q - 1), label="x"))
+    # R is in G with chance 1/4; R + (0, 0) and [2]R have other 2-parts
+    for P in (inside, R, oracles.ec_add(R, (0, 0), q), oracles.ec_add(R, R, q),
+              oracles.ec_add(R, inside, q)):
+        if P is not None:
+            assert group._in_subgroup(*P) == (group._pt_mul(p, P) is None), P
 
 
 def test_gt_inverse_is_oracle_inverse_on_all_of_mu_p():

@@ -126,8 +126,17 @@ def test_encoding_fixed_width_and_canonical(curve59):
 def test_decode_rejects_off_curve_point(curve59):
     # (1, 1): 1 != 1 + 1 mod 59, so not on the curve
     assert (1 * 1 - (1 + 1)) % 59 != 0
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match=r"is not on y\^2 = x\^3 \+ x"):
         curve59.decode_g(b"\x01" + bytes([1, 1]))
+    # the subgroup check reads x alone, and x of a point of G passes it, so
+    # only the on-curve check refuses a G point with y + 1
+    q = 730750818665451459101842416358141509827966272147
+    group = make_curve_group(CurveParams(q=q, p=(q + 1) // 4))
+    x, y = (group.generator() ** 12345).value
+    assert group._in_subgroup(x, y + 1)
+    blob = b"\x01" + x.to_bytes(20, "big") + (y + 1).to_bytes(20, "big")
+    with pytest.raises(DecodeError, match=r"is not on y\^2 = x\^3 \+ x"):
+        group.decode_g(blob)
 
 
 def test_decode_rejects_non_reduced_coordinate(curve59):

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bgwkem import ParameterError
-from bgwkem.primes import is_prime, multiplicative_order, order_up_to
+from bgwkem.primes import is_prime, jacobi, multiplicative_order, order_up_to
 from oracles import prime_factors
 
 PRIMES_BELOW_1000 = [n for n in range(2, 1000) if is_prime(n)]
+Q160 = 730750818665451459101842416358141509827966272147
 # 4 * P160 - 1 is the q160 ladder curve's q. P160 - 1 = 4 * 43 * m, where m
 # is a 150-bit composite with no prime factor up to 2^16.
 P160 = 182687704666362864775460604089535377456991568037
@@ -69,3 +70,53 @@ def test_multiplicative_order_past_the_trial_division_bound():
     assert pow(5, 4 * 43, P160) != 1
     with pytest.raises(ParameterError, match="composite factor"):
         multiplicative_order(5, P160)
+
+
+def _euler(a, p):
+    """The Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
+    power = pow(a, (p - 1) // 2, p)
+    return -1 if power == p - 1 else power
+
+
+def _multiplicity(r, n):
+    k = 0
+    while n % r == 0:
+        n //= r
+        k += 1
+    return k
+
+
+def test_jacobi_is_eulers_criterion_for_odd_primes():
+    for n in range(3, 2000, 2):
+        if is_prime(n):
+            for a in range(n):
+                assert jacobi(a, n) == _euler(a, n), (a, n)
+    assert jacobi(-1, 7) == -1 and jacobi(9, 7) == jacobi(2, 7) == 1
+
+
+def test_jacobi_is_the_product_of_legendre_symbols_for_odd_composites():
+    legendre = {}
+    for n in range(1, 2000, 2):
+        if is_prime(n):
+            continue
+        # n = 1 has no prime factor, and (a/1) = 1
+        factors = [r for r in prime_factors(n) for _ in range(_multiplicity(r, n))]
+        for r in factors:
+            legendre.setdefault(r, [_euler(a, r) for a in range(r)])
+        for a in range(n):
+            expected = 1
+            for r in factors:
+                expected *= legendre[r][a % r]
+            assert jacobi(a, n) == expected, (a, n)
+
+
+@given(a=st.integers(-(2**170), 2**170))
+def test_jacobi_is_eulers_criterion_at_160_bits(a):
+    assert jacobi(a, Q160) == _euler(a, Q160)
+    assert jacobi(a, P160) == _euler(a, P160)
+
+
+def test_jacobi_refuses_even_and_nonpositive_moduli():
+    for n in (0, -3, 2, 100):
+        with pytest.raises(ValueError, match="odd n > 0"):
+            jacobi(1, n)
