@@ -22,7 +22,9 @@ other than the writer spells it, numbers that are not canonical decimals
 (no sign, no underscore, no leading zero), hex that is not lowercase and
 unspaced, a user count beyond setup's bound, and non-canonical element
 bytes are all rejected. What a reader allocates grows with the size of
-the file it reads, never with a number read from it.
+the file it reads, never with a number read from it. A q or p of more
+than MAX_MODULUS_BITS (512) bits is refused before any primality test,
+so building the group on the parameter line takes at most about 0.1 s.
 """
 
 from itertools import chain, zip_longest

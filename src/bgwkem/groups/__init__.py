@@ -1,7 +1,7 @@
 """Pairing group backends: an exponent-trace mock and a supersingular curve."""
 
 from ..errors import ParameterError, quote
-from .base import BilinearGroup, GElement, GTElement
+from .base import MAX_MODULUS_BITS, BilinearGroup, GElement, GTElement
 from .curve import CurveGroup, CurveParams, make_curve_group
 from .mock import MockGroup, make_mock_group
 
@@ -29,6 +29,7 @@ def make_group(backend: str, /, **params) -> BilinearGroup:
 
 
 __all__ = [
+    "MAX_MODULUS_BITS",
     "BilinearGroup",
     "GElement",
     "GTElement",

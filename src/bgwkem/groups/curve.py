@@ -80,7 +80,7 @@ from functools import cached_property
 
 from ..errors import DecodeError, ParameterError, UsageError
 from ..primes import is_prime, jacobi
-from .base import BilinearGroup, GElement, GTElement
+from .base import BilinearGroup, GElement, GTElement, check_modulus_bits
 
 _INFINITY_TAG = 0x00
 _AFFINE_TAG = 0x01
@@ -99,9 +99,10 @@ _RADIX = 1 << _RADIX_BITS
 class CurveParams:
     """Parameters (q, p) of the supersingular backend; h is derived.
 
-    Validates: q prime with q = 3 mod 4, p prime >= 5, and p dividing q + 1
-    exactly once. Divisibility gives embedding degree 2; exactness is what
-    keeps the pairing alive, because if p^2 | q+1 the rational order-p
+    Validates: q and p of at most MAX_MODULUS_BITS bits, checked first; q
+    prime with q = 3 mod 4, p prime >= 5, and p dividing q + 1 exactly
+    once. Divisibility gives embedding degree 2; exactness is what keeps
+    the pairing alive, because if p^2 | q+1 the rational order-p
     subgroup sits inside p*E(F_{q^2}) and the reduced Tate pairing maps all
     of G x G to 1.
     """
@@ -110,6 +111,8 @@ class CurveParams:
     p: int
 
     def __post_init__(self):
+        check_modulus_bits("base field size", self.q)
+        check_modulus_bits("subgroup order", self.p)
         if not isinstance(self.q, int) or self.q < 2 or not is_prime(self.q):
             raise ParameterError(f"base field size must be prime, got {self.q!r}")
         if self.q % 4 != 3:
@@ -499,18 +502,6 @@ class CurveGroup(BilinearGroup):
         if not self._in_subgroup(x, y):
             raise DecodeError(f"({x}, {y}) is not in the order-{self.order} subgroup")
         return GElement(self, (x, y))
-
-    def decode_gt(self, data: bytes) -> GTElement:
-        if len(data) != self.gt_encoded_size:
-            raise DecodeError(f"expected {self.gt_encoded_size} bytes, got {len(data)}")
-        a = int.from_bytes(data[: self._qwidth], "big")
-        b = int.from_bytes(data[self._qwidth :], "big")
-        if a >= self.q or b >= self.q:
-            raise DecodeError("component not reduced mod q")
-        # mu_p lies in the norm-1 group, and _f2pow needs norm 1
-        if (a * a + b * b) % self.q != 1 or self._f2pow((a, b), self.order) != (1, 0):
-            raise DecodeError(f"value is not in the order-{self.order} subgroup")
-        return GTElement(self, (a, b))
 
 
 def make_curve_group(params: CurveParams) -> CurveGroup:

@@ -9,7 +9,7 @@ hand, which is the entire point of this backend.
 
 from ..errors import DecodeError, ParameterError
 from ..primes import is_prime
-from .base import BilinearGroup, GElement, GTElement
+from .base import BilinearGroup, GElement, GTElement, check_modulus_bits
 
 _G_TAG = 0x6D  # ASCII 'm'
 _GT_TAG = 0x74  # ASCII 't'
@@ -19,6 +19,7 @@ class MockGroup(BilinearGroup):
     """Pairing group whose elements carry their own discrete logs."""
 
     def __init__(self, p: int):
+        check_modulus_bits("group order", p)
         if not isinstance(p, int) or p < 5 or not is_prime(p):
             raise ParameterError(f"group order must be a prime >= 5, got {p!r}")
         self.order = p
@@ -53,20 +54,14 @@ class MockGroup(BilinearGroup):
         return bytes([tag]) + x.value.to_bytes(self._width, "big")
 
     def decode_g(self, data: bytes) -> GElement:
-        return GElement(self, self._decode(data, _G_TAG))
-
-    def decode_gt(self, data: bytes) -> GTElement:
-        return GTElement(self, self._decode(data, _GT_TAG))
-
-    def _decode(self, data: bytes, tag: int) -> int:
         if len(data) != self.g_encoded_size:
             raise DecodeError(f"expected {self.g_encoded_size} bytes, got {len(data)}")
-        if data[0] != tag:
+        if data[0] != _G_TAG:
             raise DecodeError(f"bad element tag {data[0]:#04x}")
         trace = int.from_bytes(data[1:], "big")
         if trace >= self.order:
             raise DecodeError(f"trace {trace} not reduced mod {self.order}")
-        return trace
+        return GElement(self, trace)
 
 
 def make_mock_group(p: int) -> MockGroup:

@@ -6,10 +6,12 @@ divides out the recovered K. The byte layer wraps arbitrary plaintexts in
 a deterministic DEM, encrypt-then-MAC. The DEM key, a domain-separated
 SHA-256 of the session key's canonical encoding, yields two keys by
 HMAC-SHA256 under the labels "enc" and "mac". The body is the plaintext
-XORed with a SHAKE-256 keystream over enc_key || nonce, and the tag is
-HMAC-SHA256 under mac_key over nonce || body; open verifies the tag before
-a single plaintext byte is produced. The sealed layout is header ||
-16-byte nonce || 8-byte length || body || 32-byte tag.
+XORed with a SHAKE-256 keystream over enc_key || nonce. The sealed layout
+is header || 16-byte nonce || 8-byte length || body || 32-byte tag, and the
+tag is HMAC-SHA256 under mac_key over all that precedes it, header
+included: a changed header that still yields the same session key, which
+happens for about one (key, set, user) in p, is refused like any other
+change. open verifies the tag before a single plaintext byte is produced.
 """
 
 import hashlib
@@ -117,8 +119,10 @@ def _xor_keystream(enc_key: bytes, nonce: bytes, data: bytes) -> bytes:
     return mixed.to_bytes(len(data), "big")
 
 
-def _tag(mac_key: bytes, nonce: bytes, body: bytes) -> bytes:
-    mac = hmac.new(mac_key, nonce, "sha256")
+def _tag(mac_key: bytes, header: bytes, nonce: bytes, body: bytes) -> bytes:
+    """HMAC-SHA256 over header || nonce || 8-byte length || body."""
+    length = len(body).to_bytes(_LENGTH_FIELD, "big")
+    mac = hmac.new(mac_key, header + nonce + length, "sha256")
     mac.update(body)
     return mac.digest()
 
@@ -129,9 +133,8 @@ def seal_bytes(recipients, pk: PublicKey, plaintext: bytes, rng) -> BroadcastCip
     enc_key, mac_key = _dem_keys(key)
     nonce = rng.randbytes(NONCE_SIZE)
     body = _xor_keystream(enc_key, nonce, plaintext)
-    return BroadcastCiphertext(
-        header=header, nonce=nonce, body=body, tag=_tag(mac_key, nonce, body)
-    )
+    tag = _tag(mac_key, encode_header(pk.group, header), nonce, body)
+    return BroadcastCiphertext(header=header, nonce=nonce, body=body, tag=tag)
 
 
 def open_bytes(recipients, i: int, share: PrivateKeyShare,
@@ -139,6 +142,8 @@ def open_bytes(recipients, i: int, share: PrivateKeyShare,
     """Verify and decrypt; raises AuthenticationError on any tampering."""
     key = decaps(recipients, i, share, ct.header, pk)
     enc_key, mac_key = _dem_keys(key)
-    if not hmac.compare_digest(_tag(mac_key, ct.nonce, ct.body), ct.tag):
+    # the header encoding is canonical, so these are the bytes that were sent
+    header = encode_header(pk.group, ct.header)
+    if not hmac.compare_digest(_tag(mac_key, header, ct.nonce, ct.body), ct.tag):
         raise AuthenticationError("ciphertext tag verification failed")
     return _xor_keystream(enc_key, ct.nonce, ct.body)

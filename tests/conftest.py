@@ -51,11 +51,11 @@ def time_limit(seconds):
         raise TimeoutError(f"took longer than {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 

@@ -38,6 +38,13 @@ class Mutant(NamedTuple):
 
 
 CURVE = "src/bgwkem/groups/curve.py"
+HYBRID = "src/bgwkem/hybrid.py"
+KEM = "src/bgwkem/kem.py"
+FILEFORMATS = "src/bgwkem/fileformats.py"
+HYBRID_TESTS = "tests/test_hybrid.py"
+KEM_TESTS = "tests/test_kem.py"
+FILEFORMATS_TESTS = "tests/test_fileformats.py"
+CLI_TESTS = "tests/test_cli.py"
 DIFF = "tests/test_curve_differential.py"
 GENERATORS = f"{DIFF}::test_generators_unchanged"
 PAIR = f"{DIFF}::test_pair_matches_oracle"
@@ -66,10 +73,10 @@ MUTANTS = [
            "*P)\n        return self._to_affine_all([(X, Y, Z)])[0]",
            "*P)\n        return self._to_affine_all([(X, Y, Z * Z % self.q)])[0]",
            (f"{DIFF}::test_mul_and_inverse_exhaustive_on_g",)),
-    Mutant("public key writer swaps the g and v roles", "src/bgwkem/fileformats.py",
+    Mutant("public key writer swaps the g and v roles", FILEFORMATS,
            'elements = {"g": pk.g, "v": pk.v, **pk.powers}',
            'elements = {"g": pk.v, "v": pk.g, **pk.powers}',
-           ("tests/test_fileformats.py::test_public_key_round_trip",)),
+           (f"{FILEFORMATS_TESTS}::test_public_key_round_trip",)),
     Mutant("multiplicative_order flips the a^F rule", "src/bgwkem/primes.py",
            "if pow(a, order, p) != 1:", "if pow(a, order, p) == 1:",
            ("tests/test_primes.py::test_multiplicative_order_past_the_trial_division_bound",
@@ -136,13 +143,6 @@ MUTANTS = [
            "a, b = (2 * a * a - 1) % q, 2 * a * b % q",
            "a, b = (2 * a * a + 1) % q, 2 * a * b % q",
            (f"{DIFF}::test_gt_exp_matches_oracle_on_all_of_mu_p",)),
-    Mutant("decode_gt without the norm check", CURVE,
-           "if (a * a + b * b) % self.q != 1 or self._f2pow(",
-           "if self._f2pow(",
-           (f"{DIFF}::test_decode_gt_accepts_exactly_mu_p",)),
-    Mutant("decode_gt with the norm check alone", CURVE,
-           "!= 1 or self._f2pow((a, b), self.order) != (1, 0):", "!= 1:",
-           (f"{DIFF}::test_decode_gt_rejects_norm_one_values_outside_mu_p",)),
     Mutant("Miller loop stops at the first chord, not at R = -P", CURVE,
            "                if Z == 0:\n                    # R = -P",
            "                if Z != 0:\n                    # R = -P",
@@ -169,6 +169,58 @@ MUTANTS = [
     Mutant("exp reads g's table for every G base", CURVE,
            "if x.value == self._g:", "if True:",
            (f"{DIFF}::test_exp_matches_oracle",)),
+    # the security checks of the protocol, the DEM and the readers
+    Mutant("open_bytes skips the tag compare", HYBRID,
+           "if not hmac.compare_digest(", "if False and not hmac.compare_digest(",
+           (f"{HYBRID_TESTS}::TestByteMode::test_single_bit_flip_rejected",
+            f"{HYBRID_TESTS}::TestByteMode::test_tag_tamper_rejected")),
+    Mutant("tag leaves the header out of its MAC input", HYBRID,
+           "hmac.new(mac_key, header + nonce + length,", "hmac.new(mac_key, nonce + length,",
+           (f"{HYBRID_TESTS}::TestHeaderBinding::test_every_bit_flip_is_refused_on_mock",
+            f"{HYBRID_TESTS}::TestHeaderBinding::test_negated_c0_is_refused_on_the_curve")),
+    Mutant("tag leaves the length out of its MAC input", HYBRID,
+           "hmac.new(mac_key, header + nonce + length,", "hmac.new(mac_key, header + nonce,",
+           (f"{HYBRID_TESTS}::TestByteMode::test_body_and_tag_match_hand_computation",
+            f"{HYBRID_TESTS}::TestWireFormat::test_pinned_sealed_bytes")),
+    Mutant("the CLI accepts a share that verify_share refuses", "src/bgwkem/cli.py",
+           "if not verify_share(pk, share):", "if False:",
+           (f"{CLI_TESTS}::test_decaps_refuses_a_share_of_another_setup",
+            f"{CLI_TESTS}::test_open_refuses_a_share_of_another_setup")),
+    Mutant("decaps serves a user outside the recipient set", KEM,
+           "if i not in s:", "if False:",
+           (f"{KEM_TESTS}::TestDecaps::test_non_member_refused",
+            f"{CLI_TESTS}::test_decaps_non_recipient_exits_3")),
+    Mutant("decaps takes a share of another index", KEM,
+           "if share.index != i:", "if False:",
+           (f"{KEM_TESTS}::TestDecaps::test_share_index_mismatch",)),
+    Mutant("check_user_count admits 2n = p - 1", KEM,
+           "if 2 * n >= p - 1:", "if 2 * n > p - 1:",
+           (f"{FILEFORMATS_TESTS}::test_reject_user_count_beyond_setup_bound",)),
+    Mutant("RecipientSet keeps a duplicate index", KEM,
+           "if len(set(idx)) != len(idx):", "if False:",
+           (f"{KEM_TESTS}::TestRecipientSet::test_rejects_duplicates",)),
+    Mutant("PublicKey takes the hole power", KEM,
+           "if self.n + 1 in self.powers:", "if False:",
+           (f"{KEM_TESTS}::TestSetup::test_public_key_refuses_the_hole",)),
+    Mutant("setup keeps an alpha of order at most 2n", KEM,
+           "while order_up_to(alpha, p, 2 * n) is not None:", "while False:",
+           (f"{KEM_TESTS}::TestSetup::test_alpha_low_order_redraw",)),
+    Mutant("setup keeps gamma = alpha^(n+1)", KEM,
+           "while gamma == hole_exponent:", "while False:",
+           (f"{KEM_TESTS}::TestSetup::test_gamma_avoids_hole_exponent",)),
+    Mutant("verify_share skips its index range", KEM,
+           "if not 1 <= share.index <= pk.n:", "if False:",
+           (f"{KEM_TESTS}::TestSetup::test_share_well_formedness",)),
+    Mutant("_decode_hex takes any hex fromhex reads", FILEFORMATS,
+           "if data.hex() != value:", "if False:",
+           (f"{FILEFORMATS_TESTS}::test_reject_non_canonical_numbers_and_hex",)),
+    Mutant("read_header_file takes S= in any order", FILEFORMATS,
+           "if _recipients_line(recipients) != lines[3]:", "if False:",
+           (f"{FILEFORMATS_TESTS}::test_reject_non_canonical_header_file",)),
+    Mutant("no cap on a modulus's size", "src/bgwkem/groups/base.py",
+           "if isinstance(value, int) and value.bit_length() > MAX_MODULUS_BITS:", "if False:",
+           (f"{FILEFORMATS_TESTS}::"
+            "test_reject_a_modulus_past_the_cap_before_any_primality_test",)),
 ]
 
 

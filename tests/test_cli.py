@@ -206,6 +206,27 @@ def test_open_tampered_exits_4(keys, tmp_path, capsys):
     assert "authentication failure" in capsys.readouterr().err
 
 
+def test_open_refuses_a_negated_c0_whose_key_is_unchanged(tmp_path, capsys):
+    # at these keys user 2's session key does not depend on C0 (see
+    # test_hybrid.TestHeaderBinding), so only the tag can refuse -C0
+    keys = tmp_path / "keys"
+    assert run("setup", "--users", 3, "--backend", "curve", "--q", 103, "--p", 13,
+               "--seed", 1, "--out", keys) == 0
+    infile, ct, out = tmp_path / "msg", tmp_path / "msg.ct", tmp_path / "msg.out"
+    infile.write_bytes(b"broadcast me")
+    assert run("seal", "--pk", keys / "pk.bgw", "--set", "1,2",
+               "--in", infile, "--out", ct, "--seed", 4) == 0
+    data = bytearray(ct.read_bytes())
+    assert data[0] == 0x01  # C0 = 01 || x || y, one byte each at q = 103
+    data[2] = 103 - data[2]
+    ct.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run("open", "--pk", keys / "pk.bgw", "--set", "1,2",
+               "--sk", keys / "user_2.sk", "--in", ct, "--out", out) in (2, 4)
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_open_by_non_recipient_exits_3(keys, tmp_path):
     infile = tmp_path / "msg"
     infile.write_bytes(b"members only")

@@ -102,8 +102,6 @@ def test_encoding_round_trip(curve59):
     for a in range(5):
         x = g ** a
         assert curve59.decode_g(curve59.encode(x)) == x
-        y = curve59.pair(g, g) ** a
-        assert curve59.decode_gt(curve59.encode(y)) == y
 
 
 def test_encoding_fixed_width_and_canonical(curve59):
@@ -161,13 +159,6 @@ def test_decode_rejects_malformed(curve59):
         curve59.decode_g(b"\x02" + bytes(2))  # unknown tag
     with pytest.raises(DecodeError):
         curve59.decode_g(b"\x00" + bytes([0, 1]))  # dirty infinity
-    with pytest.raises(DecodeError):
-        curve59.decode_gt(bytes([59, 0]))  # non-reduced GT component
-    with pytest.raises(DecodeError):
-        curve59.decode_gt(bytes([2, 0]))  # not in mu_5
-    for blob in (b"", b"\x01", b"\x01\x00\x00"):  # wrong length
-        with pytest.raises(DecodeError, match=f"expected 2 bytes, got {len(blob)}"):
-            curve59.decode_gt(blob)
 
 
 def test_mock_traces_predict_curve_equalities(curve59):

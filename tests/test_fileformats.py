@@ -12,6 +12,7 @@ from bgwkem import (
     make_mock_group,
     setup,
 )
+from bgwkem.groups import MAX_MODULUS_BITS
 from bgwkem.fileformats import (
     read_header_file,
     read_public_key,
@@ -20,6 +21,7 @@ from bgwkem.fileformats import (
     write_public_key,
     write_share,
 )
+from conftest import time_limit
 
 
 @pytest.fixture(params=["mock", "curve"])
@@ -317,3 +319,23 @@ def test_reject_decimal_longer_than_int_converts(tmp_path):
     with pytest.raises(DecodeError, match=r"share index '1{64}'\.\.\. \(5000 characters\) "
                                           "is not a canonical decimal"):
         read_share(path)
+
+
+# a 4096-bit prime q with 20 | q + 1, whose primality test takes seconds,
+# and a 14 000-bit number, near the most digits a decimal in a key file may
+# have; past the cap neither is tested for primality
+@pytest.mark.parametrize("bits, modulus", [(4096, 5 * 2**4093 - 43581),
+                                           (14_000, 5 * 2**13997 - 1)])
+@pytest.mark.parametrize("line", ["BGW1 curve q={} p=5 n=1", "BGW1 mock p={} n=1"])
+def test_reject_a_modulus_past_the_cap_before_any_primality_test(tmp_path, line, bits,
+                                                                  modulus):
+    assert modulus.bit_length() == bits
+    params = line.format(modulus)
+    pk_path, sk_path = tmp_path / "pk.bgw", tmp_path / "user_1.sk"
+    pk_path.write_text(params + "\ng=00\ng2=00\nv=00\n")
+    sk_path.write_text(params + "\nd=1:00\n")
+    for reader, path in ((read_public_key, pk_path), (read_share, sk_path)):
+        with time_limit(0.1):
+            with pytest.raises(DecodeError, match=f"{bits} bits, more than "
+                                                  f"MAX_MODULUS_BITS = {MAX_MODULUS_BITS}"):
+                reader(path)

@@ -10,13 +10,17 @@ import oracles
 from bgwkem import (
     AuthenticationError,
     BroadcastCiphertext,
+    CurveParams,
     DecodeError,
+    Header,
     MembershipError,
     UsageError,
+    decaps,
     decrypt_gt,
     derive_dem_key,
     encaps,
     encrypt_gt,
+    make_curve_group,
     open_bytes,
     seal_bytes,
     setup,
@@ -31,13 +35,13 @@ PINNED_DEM_KEY_HEX = "8d0f763969024333510b2b4bce3fa7ef93ca78ef12deed99a1d3922cb2
 
 # seal_bytes({1, 2}, pk, b"broadcast me") at mock p=101, n=2 (alpha=2,
 # gamma=3), t=5 and nonce 00..0f: header (5, 45) || nonce || length 12 ||
-# body || tag, computed once and frozen.
+# body || tag, computed once and frozen; the tag covers all that precedes it.
 PINNED_SEALED_HEX = (
     "6d056d2d"
     "000102030405060708090a0b0c0d0e0f"
     "000000000000000c"
     "7d8e50b86f2fcdf63db77df2"
-    "66cac724da57ab683c38524235c5fc0c098b1e536b33fccb13818534d8698f29"
+    "b96b4168059329bfe4eb2d77ff4dad029ddb188dd5c05f90e87138b4b87bc63d"
 )
 
 
@@ -198,7 +202,7 @@ class TestByteMode:
     # 136 bytes is the SHAKE-256 rate
     @pytest.mark.parametrize("length", [0, 1, 135, 136, 137, 1000])
     def test_body_and_tag_match_hand_computation(self, state, length):
-        _, pk, _ = state
+        group, pk, _ = state
         plaintext = random.Random(length).randbytes(length)
         _, key = encaps({1, 2}, pk, random.Random(200 + length))
         ct = seal_bytes({1, 2}, pk, plaintext, random.Random(200 + length))
@@ -207,7 +211,12 @@ class TestByteMode:
         mac_key = hmac.new(dem_key, b"mac", hashlib.sha256).digest()
         stream = hashlib.shake_256(enc_key + ct.nonce).digest(length)
         assert ct.body == bytes(a ^ b for a, b in zip(plaintext, stream))
-        assert ct.tag == hmac.new(mac_key, ct.nonce + ct.body, hashlib.sha256).digest()
+        # the MAC input is the sealed file up to the tag:
+        # encode(C0) || encode(C1) || nonce || 8-byte big-endian length || body
+        signed = (group.encode(ct.header.c0) + group.encode(ct.header.c1) + ct.nonce
+                  + length.to_bytes(8, "big") + ct.body)
+        assert ct.to_bytes(group) == signed + ct.tag
+        assert ct.tag == hmac.new(mac_key, signed, hashlib.sha256).digest()
 
     def test_one_mib_peaks_below_three_and_a_half_payloads(self, state):
         # Seal and open each hold the payload as bytes and as integers; the
@@ -241,6 +250,52 @@ class TestByteMode:
         pk, shares = setup(2, group, rng)
         ct = seal_bytes({1, 2}, pk, plaintext, rng)
         assert open_bytes({1, 2}, 1, shares[0], ct, pk) == plaintext
+
+
+class TestHeaderBinding:
+    """Recipient i computes K = e(g_i, C1) / e(acc, C0) with
+    acc = d_i * prod_{j in S, j != i} g_{n+1-j+i}. For about one (key, S, i)
+    in p, acc is the identity, K does not depend on C0, and only the tag can
+    tell a changed C0 from the one that was sent."""
+
+    # setup(3) at mock p=101 from Random(seed), which then seals to
+    # {1, 2, 3}: seed 5 gives such a user 3, seeds 10 and 44 a user 1
+    @pytest.mark.parametrize("seed", [5, 10, 44])
+    def test_every_bit_flip_is_refused_on_mock(self, mock101, seed):
+        rng = random.Random(seed)
+        pk, shares = setup(3, mock101, rng)
+        self._assert_every_flip_refused(pk, shares, {1, 2, 3}, rng)
+
+    def test_every_bit_flip_is_refused_on_the_curve(self):
+        pk, shares = setup(3, make_curve_group(CurveParams(q=103, p=13)), random.Random(1))
+        self._assert_every_flip_refused(pk, shares, {1, 2}, random.Random(4))
+
+    @staticmethod
+    def _assert_every_flip_refused(pk, shares, recipients, rng):
+        group = pk.group
+        data = seal_bytes(recipients, pk, b"broadcast me", rng).to_bytes(group)
+        for bit in range(8 * len(data)):
+            tampered = bytearray(data)
+            tampered[bit // 8] ^= 1 << bit % 8
+            for i in recipients:
+                with pytest.raises((DecodeError, AuthenticationError)):
+                    ct = BroadcastCiphertext.from_bytes(group, bytes(tampered))
+                    open_bytes(recipients, i, shares[i - 1], ct, pk)
+
+    def test_negated_c0_is_refused_on_the_curve(self):
+        # the keys of `setup --users 3 --backend curve --q 103 --p 13
+        # --seed 1` and the file of `seal --set 1,2 --seed 4`: user 2's acc
+        # is the identity, so -C0 leaves its session key unchanged
+        group = make_curve_group(CurveParams(q=103, p=13))
+        pk, shares = setup(3, group, random.Random(1))
+        ct = seal_bytes({1, 2}, pk, b"broadcast me", random.Random(4))
+        header = Header(c0=ct.header.c0 ** -1, c1=ct.header.c1)
+        assert decaps({1, 2}, 2, shares[1], header, pk) == \
+            decaps({1, 2}, 2, shares[1], ct.header, pk)
+        forged = BroadcastCiphertext(header=header, nonce=ct.nonce, body=ct.body, tag=ct.tag)
+        for i in (1, 2):
+            with pytest.raises(AuthenticationError):
+                open_bytes({1, 2}, i, shares[i - 1], forged, pk)
 
 
 class TestWireFormat:

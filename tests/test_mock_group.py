@@ -10,7 +10,7 @@ from bgwkem import (
     make_group,
     make_mock_group,
 )
-from bgwkem.groups import GElement, GTElement
+from bgwkem.groups import MAX_MODULUS_BITS, GElement, GTElement
 
 
 def test_rejects_bad_order():
@@ -20,6 +20,14 @@ def test_rejects_bad_order():
     # primes below 5 are also out
     with pytest.raises(ParameterError):
         make_mock_group(3)
+
+
+def test_order_of_at_most_max_modulus_bits():
+    # 2^512 - 569 is the largest 512-bit prime, 2^521 - 1 a Mersenne prime
+    assert MAX_MODULUS_BITS == 512
+    assert make_mock_group(2**512 - 569).order == 2**512 - 569
+    with pytest.raises(ParameterError, match="521 bits, more than MAX_MODULUS_BITS = 512"):
+        make_mock_group(2**521 - 1)
 
 
 def test_generator_and_identities(mock101):
@@ -92,8 +100,6 @@ def test_encoding_round_trip(mock101):
     for a in (0, 1, 40, 100):
         x = g ** a
         assert mock101.decode_g(mock101.encode(x)) == x
-        y = mock101.pair(g, g) ** a
-        assert mock101.decode_gt(mock101.encode(y)) == y
 
 
 def test_encoding_is_canonical_and_fixed_width(mock101):
@@ -115,8 +121,6 @@ def test_decode_rejects_malformed(mock101):
         mock101.decode_g(b"\x00\x05")  # bad tag
     with pytest.raises(DecodeError):
         mock101.decode_g(b"\x6d\x65")  # trace 101 not reduced
-    with pytest.raises(DecodeError):
-        mock101.decode_gt(b"\x6d\x05")  # G tag fed to GT decoder
 
 
 # (build a group, build one with other parameters) per backend
