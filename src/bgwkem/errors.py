@@ -2,8 +2,8 @@
 
 The CLI maps these onto stable exit codes: parameter/parse problems are
 exit 2, membership refusals exit 3, authentication failures exit 4.
-Messages quote outside input through quote, so an error about a huge
-value stays short.
+Messages quote outside input through quote and quote_value, so an error
+about a huge value stays short.
 """
 
 # the most characters of a value that an error message quotes
@@ -15,6 +15,12 @@ def quote(value: str) -> str:
     if len(value) <= _QUOTE_LIMIT:
         return repr(value)
     return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
+
+
+def quote_value(value) -> str:
+    """repr(value), or past _QUOTE_LIMIT characters as quote cuts a string."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else quote(text)
 
 
 class BgwError(Exception):

@@ -59,15 +59,16 @@ inversion each (Montgomery's trick, in _to_affine_all).
 exp of any other base doubles and adds in _pt_mul. _lines moves R with the
 same two step functions and builds its lines from the values they return.
 
-decode_g proves membership in G without computing [p]P. Since
-G = [h]E(F_q), it tests P for membership in [2^a]E(F_q), 2^a being the
-largest power of two dividing h, by a 2-descent: x(P) mod squares is the
-descent map of a 2-isogeny (Silverman, The Arithmetic of Elliptic Curves,
-ch. X), and each level halves P through x alone. That costs a few Jacobi
-symbols and square roots; it is the Tate-pairing test of subgroup
-membership (Koshelev, J. Cryptogr. Eng. 2023) for l = 2. The odd part m of
-h takes [2^a*p]P = O in _pt_mul, and only when m > 1. _in_subgroup carries
-the argument.
+decode_g proves membership in G in one of two ways, chosen by the cofactor
+h, which q = 3 mod 4 makes a multiple of 4. When h = 4, G = [4]E(F_q), and
+one halving decides it: x(P) mod squares is the descent map of a 2-isogeny
+(Silverman, The Arithmetic of Elliptic Curves, ch. X), so P is a double
+exactly when x is a square, and its half is found through x alone. That
+costs three Jacobi symbols and one square root; it is the Tate-pairing test
+of subgroup membership (Koshelev, J. Cryptogr. Eng. 2023) for l = 2. For
+any other h it computes [p]P in _pt_mul: E(F_q) is cyclic, so the points
+that p kills form its one subgroup of order p, which is G. _in_subgroup
+carries the argument.
 
 Points are affine (x, y) tuples with None for infinity; Jacobian triples
 live only inside the G operations and the Miller loop. F_{q^2} values are
@@ -78,7 +79,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import DecodeError, ParameterError, UsageError
+from ..errors import DecodeError, ParameterError, UsageError, quote_value
 from ..primes import is_prime, jacobi
 from .base import BilinearGroup, GElement, GTElement, check_modulus_bits
 
@@ -113,17 +114,20 @@ class CurveParams:
     def __post_init__(self):
         check_modulus_bits("base field size", self.q)
         check_modulus_bits("subgroup order", self.p)
-        if not isinstance(self.q, int) or self.q < 2 or not is_prime(self.q):
-            raise ParameterError(f"base field size must be prime, got {self.q!r}")
-        if self.q % 4 != 3:
-            raise ParameterError(f"q = {self.q} is not 3 mod 4")
-        if not isinstance(self.p, int) or self.p < 5 or not is_prime(self.p):
-            raise ParameterError(f"subgroup order must be a prime >= 5, got {self.p!r}")
-        if (self.q + 1) % self.p != 0:
-            raise ParameterError(f"p = {self.p} does not divide q + 1 = {self.q + 1}")
-        if (self.q + 1) % (self.p * self.p) == 0:
+        q, p = self.q, self.p
+        if not isinstance(q, int) or q < 2 or not is_prime(q):
+            raise ParameterError(f"base field size must be prime, got {quote_value(q)}")
+        if q % 4 != 3:
+            raise ParameterError(f"q = {quote_value(q)} is not 3 mod 4")
+        if not isinstance(p, int) or p < 5 or not is_prime(p):
+            raise ParameterError(f"subgroup order must be a prime >= 5, got {quote_value(p)}")
+        if (q + 1) % p != 0:
             raise ParameterError(
-                f"p^2 = {self.p * self.p} divides q + 1, which degenerates the pairing"
+                f"p = {quote_value(p)} does not divide q + 1 = {quote_value(q + 1)}"
+            )
+        if (q + 1) % (p * p) == 0:
+            raise ParameterError(
+                f"p^2 = {quote_value(p * p)} divides q + 1, which degenerates the pairing"
             )
 
     @property
@@ -281,11 +285,12 @@ class CurveGroup(BilinearGroup):
     def _in_subgroup(self, x: int, y: int) -> bool:
         """Whether a point P = (x, y) of E(F_q) lies in G; P must be on the curve.
 
-        E(F_q) is cyclic of order h*p, so G = [h]E(F_q). Write h = 2^a * m
-        with m odd; a >= 2, because q = 3 mod 4. P is in G exactly when it
-        is in [2^a]E(F_q) and [2^a * p]P = O, and the second test is needed
-        only when m > 1. The first is a 2-descent (Silverman, AEC, ch. X;
-        Koshelev, J. Cryptogr. Eng. 2023, for l = 2):
+        E(F_q) is cyclic of order h*p, so G = [h]E(F_q), and 4 | h because
+        q = 3 mod 4. For h other than 4, P is in G exactly when [p]P = O:
+        in a cyclic group the points that p kills form the one subgroup of
+        order p. For h = 4, P is in G exactly when it is a double of a
+        double, which one halving decides (Silverman, AEC, ch. X; Koshelev,
+        J. Cryptogr. Eng. 2023, for l = 2):
 
         - P != O is in 2E(F_q) exactly when x is a nonzero square. x mod
           squares is the descent map of the 2-isogeny to Y^2 = X(X^2 - 4):
@@ -297,29 +302,21 @@ class CurveGroup(BilinearGroup):
           u = x_R + 1/x_R = 2(x +- sqrt(x^2 + 1)). Only the halves in E(F_q)
           have x_R in F_q, so the sign is the one for which u^2 - 4 is a
           square. The other root is x of R + (0, 0), which lies in
-          2E(F_q) exactly when R does, so either root serves for the next
-          level.
-        - (x_R + 1)^2 = (u + 2) * x_R, so x_R is a square exactly when u + 2
-          is one (u - 2 would serve too, as (u + 2)(u - 2) is a square), and
-          x_R itself is found only when another level follows.
+          2E(F_q) exactly when R does, so either half decides.
+        - (x_R + 1)^2 = (u + 2) * x_R, so x_R is a square, and R a double,
+          exactly when u + 2 is one (u - 2 would serve too, as
+          (u + 2)(u - 2) is a square); x_R itself is never needed.
         """
+        if self._cofactor != 4:
+            return self._pt_mul(self.order, (x, y)) is None
         q = self.q
-        h = self._cofactor
-        a = (h & -h).bit_length() - 1
-        root = (q + 1) // 4  # s^root is a square root of any square s
         if jacobi(x, q) != 1:
             return False
-        t, u = x, None
-        for _ in range(a - 1):
-            if u is not None:
-                t = (u + pow(u * u - 4, root, q)) * ((q + 1) // 2) % q
-            s = pow(t * t + 1, root, q)
-            u = 2 * (t + s) % q
-            if jacobi(u * u - 4, q) != 1:
-                u = 2 * (t - s) % q
-            if jacobi(u + 2, q) != 1:
-                return False
-        return h >> a == 1 or self._pt_mul(self.order << a, (x, y)) is None
+        s = pow(x * x + 1, (q + 1) // 4, q)  # s^2 = x^2 + 1 = y^2 / x
+        u = 2 * (x + s) % q
+        if jacobi(u * u - 4, q) != 1:
+            u = 2 * (x - s) % q
+        return jacobi(u + 2, q) == 1
 
     def _fixed_base_table(self, P):
         """Rows [d * 16^j]P, 0 <= d < 16, one per base-16 digit of p.

@@ -7,7 +7,7 @@ pair multiplies them. That makes every protocol identity checkable by
 hand, which is the entire point of this backend.
 """
 
-from ..errors import DecodeError, ParameterError
+from ..errors import DecodeError, ParameterError, quote_value
 from ..primes import is_prime
 from .base import BilinearGroup, GElement, GTElement, check_modulus_bits
 
@@ -21,7 +21,7 @@ class MockGroup(BilinearGroup):
     def __init__(self, p: int):
         check_modulus_bits("group order", p)
         if not isinstance(p, int) or p < 5 or not is_prime(p):
-            raise ParameterError(f"group order must be a prime >= 5, got {p!r}")
+            raise ParameterError(f"group order must be a prime >= 5, got {quote_value(p)}")
         self.order = p
         self.params = ("mock", ("p", p))
         self._width = (p.bit_length() + 7) // 8

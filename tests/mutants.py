@@ -51,6 +51,7 @@ PAIR = f"{DIFF}::test_pair_matches_oracle"
 WHOLE_CURVE = f"{DIFF}::test_scalar_multiplication_exhaustive_on_whole_curve"
 ENCODING = "tests/test_curve_group.py::test_encoding_fixed_width_and_canonical"
 SUBGROUP_SWEEP = f"{DIFF}::test_subgroup_check_is_the_p_multiple_test_on_every_small_curve"
+TRANSCRIPT = "tests/test_transcript.py::test_cli_transcript_matches_the_manifest"
 TABLE = (
     f"{DIFF}::test_generator_table_exhaustive_on_a_four_row_table",
     f"{DIFF}::test_generator_table_matches_double_and_add_at_edge_scalars",
@@ -119,24 +120,24 @@ MUTANTS = [
     Mutant("batch inversion peels the wrong prefix", CURVE,
            "zinv = inverse * prefixes[i] % q", "zinv = inverse * prefixes[i - 1] % q",
            TABLE),
-    # decode_g's checks: on the curve, then the 2-descent and the odd part
+    # decode_g's checks: on the curve, then one halving when h = 4 and
+    # [p]P = O for any other cofactor
     Mutant("decode_g without the on-curve check", CURVE,
            "if not self._on_curve(x, y):", "if False:",
            ("tests/test_curve_group.py::test_decode_rejects_off_curve_point",)),
-    Mutant("descent takes the sign for which u^2 - 4 is a non-square", CURVE,
-           "if jacobi(u * u - 4, q) != 1:", "if jacobi(u * u - 4, q) == 1:",
+    Mutant("one halving for every cofactor", CURVE,
+           "if self._cofactor != 4:", "if False:",
            (SUBGROUP_SWEEP,)),
-    Mutant("descent drops one level", CURVE,
-           "for _ in range(a - 1):", "for _ in range(a - 2):",
+    Mutant("an h != 4 curve accepts without [p]P", CURVE,
+           "return self._pt_mul(self.order, (x, y)) is None", "return True",
+           (SUBGROUP_SWEEP,)),
+    Mutant("halving takes the sign for which u^2 - 4 is a non-square", CURVE,
+           "if jacobi(u * u - 4, q) != 1:", "if jacobi(u * u - 4, q) == 1:",
            (SUBGROUP_SWEEP,)),
     # u - 2 in place of u + 2 is no mutant: (u + 2)(u - 2) = u^2 - 4 is a
     # square, so both have one Jacobi symbol
-    Mutant("descent tests u in place of u + 2 at each level", CURVE,
-           "if jacobi(u + 2, q) != 1:", "if jacobi(u, q) != 1:",
-           (SUBGROUP_SWEEP,)),
-    Mutant("subgroup check skips the odd part of the cofactor", CURVE,
-           "return h >> a == 1 or self._pt_mul(self.order << a, (x, y)) is None",
-           "return True",
+    Mutant("halving tests u in place of u + 2", CURVE,
+           "return jacobi(u + 2, q) == 1", "return jacobi(u, q) == 1",
            (SUBGROUP_SWEEP,)),
     # GT and the pairing
     Mutant("GT squaring as 2a^2 + 1", CURVE,
@@ -221,6 +222,13 @@ MUTANTS = [
            "if isinstance(value, int) and value.bit_length() > MAX_MODULUS_BITS:", "if False:",
            (f"{FILEFORMATS_TESTS}::"
             "test_reject_a_modulus_past_the_cap_before_any_primality_test",)),
+    # outputs that only the CLI transcript pins
+    Mutant("reworded error for a header file of the wrong shape", FILEFORMATS,
+           '"malformed header file"', '"malformed header"',
+           (TRANSCRIPT,)),
+    Mutant("encaps draws t from 2..p-1", KEM,
+           "t = rng.randrange(1, p)", "t = rng.randrange(2, p)",
+           (TRANSCRIPT,)),
 ]
 
 

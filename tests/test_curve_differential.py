@@ -121,21 +121,19 @@ def test_generators_unchanged():
         assert group.generator().value == oracles.curve_generator(q, p), (q, p)
 
 
-# -- decode_g's subgroup check: 2-descent against [p]P = O -----------------
+# -- decode_g's subgroup check: one halving or [p]P, against the oracle's [p]P
 
 def test_subgroup_check_is_the_p_multiple_test_on_every_small_curve():
     sweep = _valid_curves(600)
     assert {(59, 5), (103, 13), (139, 7)} <= set(sweep)
-    seen, twos = 0, set()
+    # points seen on curves whose cofactor is 4 (one halving) and is not
+    seen = {True: 0, False: 0}
     for q, p in sweep:
         group = make_curve_group(CurveParams(q=q, p=p))
-        h = (q + 1) // p
-        twos.add((h & -h).bit_length() - 1)
         for P in oracles.enumerate_curve(q):
-            assert group._in_subgroup(*P) == (group._pt_mul(p, P) is None), (q, p, P)
-            seen += 1
-    # cofactors 4 to 32 times an odd part: one to four halvings
-    assert (len(sweep), seen, twos) == (47, 14401, {2, 3, 4, 5})
+            assert group._in_subgroup(*P) == (oracles.ec_mul(p, P, q) is None), (q, p, P)
+            seen[(q + 1) // p == 4] += 1
+    assert (len(sweep), seen[True], seen[False]) == (47, 2187, 12214)
 
 
 def _lift(group, x):
@@ -160,7 +158,7 @@ def test_subgroup_check_is_the_p_multiple_test(table_curve, data):
     for P in (inside, R, oracles.ec_add(R, (0, 0), q), oracles.ec_add(R, R, q),
               oracles.ec_add(R, inside, q)):
         if P is not None:
-            assert group._in_subgroup(*P) == (group._pt_mul(p, P) is None), P
+            assert group._in_subgroup(*P) == (oracles.ec_mul(p, P, q) is None), P
 
 
 def test_gt_inverse_is_oracle_inverse_on_all_of_mu_p():

@@ -4,6 +4,8 @@ import pytest
 
 import oracles
 from bgwkem import CurveParams, DecodeError, ParameterError, make_curve_group
+from bgwkem.groups import MAX_MODULUS_BITS
+from conftest import time_limit
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,35 @@ def test_decode_rejects_wrong_subgroup_point(curve59):
     )
     with pytest.raises(DecodeError):
         curve59.decode_g(b"\x01" + bytes(outsider))
+
+
+# Curves near MAX_MODULUS_BITS: two whose cofactors are the large powers of
+# two 2^460 and 2^248, and q = 8p - 1 with p of 509 bits, the largest p
+# whose test is [p]P, where decode_g is at its slowest. CAP_P is the first
+# p = random.Random(0).getrandbits(509) | 2^508 | 1 with p and 8p - 1 both
+# prime.
+CAP_P = int(
+    "11779005104903553935535606927616712680517373859474227986781532447126328830"
+    "00988705870257183801689387569711838394453096247373653827613980455819020128768159"
+)
+CAP_CURVES = [(17 * 2**460 - 1, 17), (5 * 2**248 - 1, 5), (8 * CAP_P - 1, CAP_P)]
+
+
+@pytest.mark.parametrize("q, p", CAP_CURVES, ids=["17*2^460-1", "5*2^248-1", "8p-1"])
+def test_decode_g_is_fast_at_the_cap(q, p):
+    group = make_curve_group(CurveParams(q=q, p=p))
+    assert q.bit_length() <= MAX_MODULUS_BITS == (8 * CAP_P - 1).bit_length()
+    g = group.generator()
+    x, y = g.value
+    # g + (0, 0) = (1/x, -y/x^2) is on the curve and has order 2p
+    width = (q.bit_length() + 7) // 8
+    outside = (b"\x01" + pow(x, -1, q).to_bytes(width, "big")
+               + (-y * pow(x, -2, q) % q).to_bytes(width, "big"))
+    inside = group.encode(g)
+    with time_limit(0.1):
+        assert group.decode_g(inside) == g
+        with pytest.raises(DecodeError, match="not in the order-"):
+            group.decode_g(outside)
 
 
 def test_decode_rejects_malformed(curve59):

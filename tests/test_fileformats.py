@@ -339,3 +339,23 @@ def test_reject_a_modulus_past_the_cap_before_any_primality_test(tmp_path, line,
             with pytest.raises(DecodeError, match=f"{bits} bits, more than "
                                                   f"MAX_MODULUS_BITS = {MAX_MODULUS_BITS}"):
                 reader(path)
+
+
+# 2^512 - 1 (155 digits, a multiple of 3) is cut to its first 64 digits and
+# its length; 10^63 - 1 (64 digits, a multiple of 9) still prints whole, as
+# does the short p
+@pytest.mark.parametrize("line, message", [
+    ("BGW1 curve q={} p=5 n=1", "base field size must be prime, got {}"),
+    ("BGW1 mock p={} n=1", "group order must be a prime >= 5, got {}"),
+    ("BGW1 curve q=59 p={} n=1", "subgroup order must be a prime >= 5, got {}"),
+], ids=["curve-q", "mock-p", "curve-p"])
+@pytest.mark.parametrize("value, shown", [
+    (2**512 - 1, f"{str(2**512 - 1)[:64]!r}... (155 characters)"),
+    (10**64 - 1, "9" * 64),
+], ids=["155-digits", "64-digits"])
+def test_parameter_errors_cut_a_long_modulus(tmp_path, line, message, value, shown):
+    path = tmp_path / "pk.bgw"
+    path.write_text(line.format(value) + "\ng=00\ng2=00\nv=00\n")
+    with pytest.raises(DecodeError) as info:
+        read_public_key(path)
+    assert str(info.value) == message.format(shown)
